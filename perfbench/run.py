@@ -4,8 +4,8 @@
     python3 perfbench/run.py --workload solve-sync --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --selftest
 
-Every other argument (--rates, --p99-limit-ms, --width, --setup-reps) is
-passed to the benchmark binary unchanged. The binary is built on first use
+Every other argument (--rates, --p99-limit-ms) is passed to the benchmark
+binary unchanged. The binary is built on first use
 into .bench_build/perfbench under the checkout root; records and traces go to
 .bench_build/perfbench/results. The last stdout line is the benchmark's JSON
 result. Exit codes: 0 verified, 1 wrong/failed result or benchmark error,

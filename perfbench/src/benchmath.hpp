@@ -13,6 +13,7 @@
 /// self-tests (tests/test_benchmath.cpp) pin down exactly what every
 /// reported number means:
 ///
+///   * relError — the solve check, which a NaN or infinity cannot pass;
 ///   * geomean / quantile / summarize — medians, quartiles and the "highest
 ///     percentile with at least ten samples beyond it" tail rule;
 ///   * tickStall — whether slow samples cluster on scheduler-tick multiples;
@@ -23,6 +24,30 @@
 namespace perfbench {
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// max_i |x_i - ref_i| / max(1, max_i |ref_i|), where `scale` is that
+/// denominator, computed once per reference. NaN as soon as any difference
+/// is not finite: std::max-style folding would skip a NaN and pass it.
+inline double relError(std::span<const double> x, std::span<const double> ref,
+                       double scale) {
+  if (x.size() != ref.size()) throw std::invalid_argument("relError: sizes");
+  double worst = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = std::abs(x[i] - ref[i]);
+    if (!(d <= worst)) {
+      if (!std::isfinite(d)) return std::numeric_limits<double>::quiet_NaN();
+      worst = d;
+    }
+  }
+  return worst / scale;
+}
+
+/// The denominator of relError for one reference vector.
+inline double relErrorScale(std::span<const double> ref) {
+  double scale = 1.0;
+  for (const double v : ref) scale = std::max(scale, std::abs(v));
+  return scale;
+}
 
 /// exp(mean(log v)); throws on an empty input or a non-positive value (a
 /// silent 0 would poison every ratio built on it).
@@ -191,7 +216,7 @@ inline bool stepMeets(const StepOutcome& s, double limit) {
 /// borderline rung flipping does not move the metric by a whole rung. The
 /// refinement never reaches the failing rung. A ladder whose top rung
 /// still meets the limit reports that rate; one where no rung does
-/// reports 0 (the caller treats it as a failed run).
+/// reports 0, a measurement like any other rate.
 inline double maxSustainedRate(std::span<const StepOutcome> ladder,
                                double limit) {
   std::vector<StepOutcome> steps(ladder.begin(), ladder.end());

@@ -3,7 +3,7 @@
 //
 //   perfbench --workload solve-sync|solve-wide --seed N
 //             --seconds S --trace 0|1 --rates R1,R2,... --p99-limit-ms L
-//             [--width W] [--out-dir DIR]
+//             [--out-dir DIR]
 //
 // The last stdout line is one JSON object {correct, attempted, failed,
 // metrics}: the end-to-end metrics with --trace 0, the per-layer metrics
@@ -60,7 +60,6 @@ struct Args {
   bool trace = false;
   std::vector<double> rates;
   double limit_ms = 0.0;
-  int width = 0;
   std::string out_dir = ".";
 };
 
@@ -82,7 +81,6 @@ Args parseArgs(int argc, char** argv) {
       else if (key == "--seconds") a.seconds = std::stod(val);
       else if (key == "--trace") a.trace = std::stoi(val) != 0;
       else if (key == "--p99-limit-ms") a.limit_ms = std::stod(val);
-      else if (key == "--width") a.width = std::stoi(val);
       else if (key == "--out-dir") a.out_dir = val;
       else if (key == "--rates") {
         std::stringstream ss(val);
@@ -197,16 +195,15 @@ int main(int argc, char** argv) {
   if (wit == kWorkloads.end()) usage("unknown workload " + args.workload);
   const Workload& wl = *wit;
 
-  // Host record and width policy: the solve phase runs at host width; the
-  // engine runs workers x team <= cores. More program threads than usable
-  // cores is refused, not silently oversubscribed.
-  const int cores = usableCores();
-  const int width = args.width > 0 ? args.width : cores;
+  // Width policy: the solve phase runs at host width (the usable cores);
+  // the engine runs workers x team <= cores. A host where that cannot hold
+  // is refused, not silently oversubscribed.
+  const int width = usableCores();
   const int team = std::min(2, width);
   const int workers = std::max(1, width / team);
-  if (width > cores || workers * team > cores) {
-    usage("refused: " + std::to_string(width) + " program threads on " +
-          std::to_string(cores) + " usable cores");
+  if (width < 1 || workers * team > width) {
+    usage("refused: " + std::to_string(workers * team) +
+          " engine threads on " + std::to_string(width) + " usable cores");
   }
 
   SpanRecorder spans;
@@ -278,9 +275,13 @@ int main(int argc, char** argv) {
           .put("tick_aligned", static_cast<double>(stall.aligned))
           .raw("stall", stall.flagged ? "true" : "false")
           .put("max_rel_err", sr.max_rel_err)
+          .put("wrong", static_cast<double>(sr.wrong))
           .put("speedup", serial_med / sum.median);
       if (s != kSerial) {
+        std::vector<std::string> reps;
+        for (const double t : sr.analyze_reps) reps.push_back(num(t));
         sj.put("analyze_s", sr.analyze_s)
+            .raw("analyze_reps_s", arr(reps))
             .put("supersteps", static_cast<double>(sr.stats.supersteps))
             .put("bsp_cost", sr.stats.bsp_cost);
       }
@@ -419,6 +420,7 @@ int main(int argc, char** argv) {
           {"engine.pack_s", "s", engine("pack_s")},
           {"engine.unpack_s", "s", engine("unpack_s")},
           {"engine.wait_fraction", "ratio", engine("wait_fraction")},
+          {"engine.mean_team", "threads", engine("mean_team")},
           {"loadgen.sent", "count", sent},
           {"loadgen.max_late_s", "s", max_late},
           {"obs.trace_overhead", "x", overhead.empty() ? 0.0 : geomean(overhead)},
@@ -427,7 +429,7 @@ int main(int argc, char** argv) {
   // ---------------------------------------------------------- record ----
   Obj host;
   host.put("hardware_cores", static_cast<double>(std::thread::hardware_concurrency()))
-      .put("usable_cores", cores)
+      .put("usable_cores", width)
       .put("width", width)
       .put("serve_workers", workers)
       .put("serve_team", team)

@@ -18,8 +18,9 @@
 /// `setup_reps` times (median = set-up time), warm up, then hot
 /// single-RHS solvePermuted loops in which Serial, GrowLocal, Funnel+GL,
 /// HDagg and SpMP take turns round-robin, the starting scheduler rotating
-/// every round so host drift hits all five alike. Each final x is checked
-/// against the serial reference.
+/// every round so host drift hits all five alike. Each solver alternates
+/// between two right-hand sides, and every x is checked against the serial
+/// reference off the timer.
 ///
 /// Serve phase (serve.cpp): GrowLocal solvers registered in one
 /// engine::SolverEngine; one generator thread offers open-loop traffic at
@@ -36,10 +37,12 @@ inline constexpr std::array<const char*, kNumSched> kSchedKey = {
 struct SeriesResult {
   std::vector<double> samples;  ///< untraced per-solve seconds
   std::vector<double> traced;   ///< traced-half per-solve seconds
-  double analyze_s = 0.0;       ///< median analyze() wall time
+  std::vector<double> analyze_reps;  ///< analyze() wall time of each rep
+  double analyze_s = 0.0;       ///< median of analyze_reps
   sts::core::ScheduleStats stats;
   double bytes_moved = 0.0;     ///< computed: storage + b read + x write
-  double max_rel_err = 0.0;     ///< final x vs. serial reference
+  double max_rel_err = 0.0;     ///< worst x vs. serial reference
+  std::uint64_t wrong = 0;      ///< solves that missed the 1e-10 bound
 };
 
 struct MatrixResult {
@@ -69,7 +72,7 @@ struct SolvePhaseResult {
   double setup_s = 0.0;      ///< sum of median analyze() times
   double datagen_s = 0.0;
   std::uint64_t attempted = 0;
-  std::uint64_t failed = 0;  ///< solvers whose final x missed 1e-10
+  std::uint64_t failed = 0;  ///< solves whose x missed 1e-10
 };
 
 SolvePhaseResult runSolvePhase(const std::vector<MatrixSpec>& specs,

@@ -13,7 +13,6 @@
 #include "datagen/random_matrices.hpp"
 #include "exec/serial.hpp"
 #include "exec/solver.hpp"
-#include "exec/verify.hpp"
 #include "obs/trace.hpp"
 #include "phases.hpp"
 
@@ -43,23 +42,6 @@ sts::exec::SolverOptions solverOptions(Sched s, int width) {
   o.reorder = s == kGl || s == kFgl;
   o.validate = false;  // timed analysis; correctness is checked on x
   return o;
-}
-
-/// analyze() `reps` times; returns the last solver and the median time.
-std::unique_ptr<TriangularSolver> analyzeTimed(const sts::sparse::CsrMatrix& m,
-                                               Sched s, int width, int reps,
-                                               double* median_s) {
-  std::vector<double> times;
-  std::unique_ptr<TriangularSolver> solver;
-  for (int r = 0; r < reps; ++r) {
-    solver.reset();  // one analyzed copy alive at a time
-    const auto t0 = Clock::now();
-    auto analyzed = TriangularSolver::analyze(m, solverOptions(s, width));
-    times.push_back(since(t0));
-    solver = std::make_unique<TriangularSolver>(std::move(analyzed));
-  }
-  *median_s = summarize(times).median;
-  return solver;
 }
 
 /// Traced run: every layer call analyze() makes, timed from outside, so
@@ -168,13 +150,24 @@ SolvePhaseResult runSolvePhase(const std::vector<MatrixSpec>& specs,
     mr.nnz = m.nnz();
     const auto n = static_cast<std::size_t>(m.rows());
 
-    // Set-up: the analyses the program needs before its first solve.
+    // Set-up: the analyses the program needs before its first solve. The
+    // schedulers take turns rep by rep, so drift within the matrix hits all
+    // four alike; a solver's set-up time is the median of its reps.
     std::array<std::unique_ptr<TriangularSolver>, kNumSched> solvers;
     std::array<double, kNumSched> analyze_s{};
+    for (int r = 0; r < config.setup_reps; ++r) {
+      for (int s = kGl; s < kNumSched; ++s) {
+        ScopedSpan span(spans, "exec.analyze");
+        solvers[s].reset();  // one analyzed copy per scheduler alive
+        const auto t0 = Clock::now();
+        auto analyzed = TriangularSolver::analyze(
+            m, solverOptions(static_cast<Sched>(s), config.width));
+        mr.series[s].analyze_reps.push_back(since(t0));
+        solvers[s] = std::make_unique<TriangularSolver>(std::move(analyzed));
+      }
+    }
     for (int s = kGl; s < kNumSched; ++s) {
-      ScopedSpan span(spans, "exec.analyze");
-      solvers[s] = analyzeTimed(m, static_cast<Sched>(s), config.width,
-                                config.setup_reps, &analyze_s[s]);
+      analyze_s[s] = summarize(mr.series[s].analyze_reps).median;
       mr.series[s].analyze_s = analyze_s[s];
       mr.series[s].stats = solvers[s]->stats();
       mr.series[s].bytes_moved =
@@ -187,33 +180,70 @@ SolvePhaseResult runSolvePhase(const std::vector<MatrixSpec>& specs,
     if (config.trace) mr.layer_s = layerTimes(m, config.width, spans, analyze_s);
 
     // Inputs in each solver's internal order (the paper's permuted-space
-    // methodology, §5): b is permuted once, outside the timed loop.
-    const auto b = randomVector(n, mixSeed(config.seed, 1000 + mi));
-    std::vector<double> x_ref(n, 0.0);
-    sts::exec::solveLowerSerial(m, b, x_ref);
-    std::array<std::vector<double>, kNumSched> bp;
+    // methodology, §5), permuted once, outside the timed loop. Each solver
+    // alternates between two right-hand sides and every x is checked: the
+    // row kernel reads x in place, so a solve that reads an operand before
+    // it is written this time (a missing barrier or wait) picks up the
+    // other right-hand side's value and misses the reference.
+    std::array<std::vector<double>, 2> b, x_ref;
+    std::array<double, 2> ref_scale{};
+    for (int k = 0; k < 2; ++k) {
+      b[k] = randomVector(n, mixSeed(config.seed, 1000 * (k + 1) + mi));
+      x_ref[k].assign(n, 0.0);
+      sts::exec::solveLowerSerial(m, b[k], x_ref[k]);
+      ref_scale[k] = relErrorScale(x_ref[k]);
+    }
+    std::array<std::array<std::vector<double>, 2>, kNumSched> bp, xp_ref;
     std::array<std::vector<double>, kNumSched> xs;
+    std::array<std::uint64_t, kNumSched> uses{};
     std::array<std::unique_ptr<sts::exec::SolveContext>, kNumSched> ctx;
     for (int s = 0; s < kNumSched; ++s) {
-      bp[s] = b;
       xs[s].assign(n, 0.0);
+      for (int k = 0; k < 2; ++k) {
+        bp[s][k] = b[k];
+        xp_ref[s][k] = x_ref[k];
+      }
       if (s == kSerial) continue;
       const auto perm = solvers[s]->permutation();
-      for (std::size_t i = 0; i < n; ++i) {
-        bp[s][i] = b[static_cast<std::size_t>(perm[i])];
+      for (int k = 0; k < 2; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto p = static_cast<std::size_t>(perm[i]);
+          bp[s][k][i] = b[k][p];
+          xp_ref[s][k][i] = x_ref[k][p];
+        }
       }
       ctx[s] = solvers[s]->createContext();
     }
-    auto solveOnce = [&](int s) {
-      if (s == kSerial) {
-        sts::exec::solveLowerSerial(m, bp[s], xs[s]);
-      } else {
-        solvers[s]->solvePermuted(bp[s], xs[s], *ctx[s], config.width);
-      }
-    };
     static const std::array<std::string, kNumSched> kSpanNames = {
         "exec.solve.serial", "exec.solve.gl", "exec.solve.fgl",
         "exec.solve.hdagg", "exec.solve.spmp"};
+    // One checked solve; returns its time (the check is not timed).
+    auto solveOnce = [&](int s) {
+      const auto k = static_cast<std::size_t>(uses[s]++ % 2);
+      const auto s0 = Clock::now();
+      {
+        ScopedSpan span(spans, kSpanNames[s]);
+        if (s == kSerial) {
+          sts::exec::solveLowerSerial(m, bp[s][k], xs[s]);
+        } else {
+          solvers[s]->solvePermuted(bp[s][k], xs[s], *ctx[s], config.width);
+        }
+      }
+      const double dt = since(s0);
+      const double err = relError(xs[s], xp_ref[s][k], ref_scale[k]);
+      SeriesResult& sr = mr.series[s];
+      ++out.attempted;
+      if (!(err <= 1e-10)) {
+        if (sr.wrong++ == 0) {
+          std::fprintf(stderr, "WRONG RESULT: %s %s solve %llu rel err %.3g\n",
+                       mr.name.c_str(), kSchedKey[s],
+                       static_cast<unsigned long long>(uses[s]), err);
+        }
+        ++out.failed;
+      }
+      if (!(err <= sr.max_rel_err)) sr.max_rel_err = err;  // NaN sticks
+      return dt;
+    };
 
     // Warm-up rounds, then timed rounds with a rotating start. A traced run
     // spends the second half of the budget with the obs session open and a
@@ -235,41 +265,14 @@ SolvePhaseResult runSolvePhase(const std::vector<MatrixSpec>& specs,
       for (std::size_t round = 0;; ++round) {
         for (int j = 0; j < kNumSched; ++j) {
           const int s = static_cast<int>((round + j) % kNumSched);
-          const auto s0 = Clock::now();
-          {
-            ScopedSpan span(spans, kSpanNames[s]);
-            solveOnce(s);
-          }
-          const double dt = since(s0);
+          const double dt = solveOnce(s);
           (traced ? mr.series[s].traced : mr.series[s].samples).push_back(dt);
-          ++out.attempted;
         }
         if (round >= 10 && since(t0) >= per_matrix / halves) break;
       }
       if (session) session->stop();
     }
     if (config.trace) spans.setEnabled(true);
-
-    // Correctness: each scheduler's final x against the serial reference,
-    // mapped back from its internal order.
-    for (int s = 0; s < kNumSched; ++s) {
-      std::vector<double> x_orig(n, 0.0);
-      if (s == kSerial) {
-        x_orig = xs[s];
-      } else {
-        const auto perm = solvers[s]->permutation();
-        for (std::size_t i = 0; i < n; ++i) {
-          x_orig[static_cast<std::size_t>(perm[i])] = xs[s][i];
-        }
-      }
-      const double err = sts::exec::relMaxAbsDiff(x_orig, x_ref);
-      mr.series[s].max_rel_err = err;
-      if (!(err <= 1e-10)) {
-        ++out.failed;
-        std::fprintf(stderr, "WRONG RESULT: %s %s rel err %.3g\n",
-                     mr.name.c_str(), kSchedKey[s], err);
-      }
-    }
     out.matrices.push_back(std::move(mr));
   }
   return out;

@@ -1,5 +1,6 @@
 #include "spans.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -21,12 +22,7 @@ void SpanRecorder::close(std::int64_t index) {
     throw std::logic_error("SpanRecorder: spans must close in LIFO order");
   }
   stack_.pop_back();
-  Span& span = spans_[static_cast<std::size_t>(index)];
-  span.end_ns = nowNs();
-  if (span.parent >= 0) {
-    spans_[static_cast<std::size_t>(span.parent)].child_ns +=
-        static_cast<double>(span.end_ns - span.begin_ns);
-  }
+  spans_[static_cast<std::size_t>(index)].end_ns = nowNs();
 }
 
 void SpanRecorder::addRequest(const std::string& name,
@@ -39,16 +35,6 @@ void SpanRecorder::addRequest(const std::string& name,
   span.end_ns = end_ns;
   span.request = request_id;
   spans_.push_back(std::move(span));
-}
-
-std::map<std::string, double> SpanRecorder::selfSeconds() const {
-  std::map<std::string, double> self;
-  for (const Span& span : spans_) {
-    if (span.end_ns < span.begin_ns) continue;  // still open
-    const double dur = static_cast<double>(span.end_ns - span.begin_ns);
-    self[span.name] += (dur - span.child_ns) * 1e-9;
-  }
-  return self;
 }
 
 namespace {

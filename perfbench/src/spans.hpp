@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -11,11 +10,11 @@
 /// benchmark, around each call into a library layer; they stay in memory
 /// and are written as Chrome/Perfetto trace_event JSON when the run ends.
 ///
-/// Nested spans (ScopedSpan) live on the recording thread's stack, so
-/// their children never overlap and a span's self time is its duration
-/// minus its direct children's. Request spans (addRequest) overlap each
-/// other freely and are exported as async events keyed by request id — the
-/// identifier every span of one request shares.
+/// Nested spans (ScopedSpan) live on the recording thread's stack and are
+/// exported with their parent's index; a trace viewer derives self times
+/// from the nesting. Request spans (addRequest) overlap each other freely
+/// and are exported as async events keyed by request id — the identifier
+/// every span of one request shares.
 
 namespace perfbench {
 
@@ -32,7 +31,6 @@ struct Span {
   std::uint64_t end_ns = 0;
   std::int64_t parent = -1;     ///< index of the enclosing span, -1 = root
   std::uint64_t request = 0;    ///< request id (0 = not a request span)
-  double child_ns = 0.0;        ///< summed durations of direct children
 };
 
 /// Single-threaded: every span of a run is recorded by the benchmark's main
@@ -51,14 +49,8 @@ class SpanRecorder {
   void addRequest(const std::string& name, std::uint64_t request_id,
                   std::uint64_t begin_ns, std::uint64_t end_ns);
 
-  /// Per-name totals of self time (duration minus direct children), in
-  /// seconds, over every closed span.
-  std::map<std::string, double> selfSeconds() const;
-
   /// Chrome/Perfetto trace_event JSON; false on I/O failure.
   bool writeJson(const std::string& path) const;
-
-  std::size_t size() const { return spans_.size(); }
 
  private:
   bool enabled_ = false;

@@ -4,13 +4,32 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "benchmath.hpp"
-#include "spans.hpp"
 
 namespace perfbench {
 namespace {
+
+TEST(RelError, ScaledMaxDiffThatNoNonFiniteValuePasses) {
+  const std::vector<double> ref = {4.0, -2.0, 0.5};
+  const double scale = relErrorScale(ref);
+  EXPECT_DOUBLE_EQ(scale, 4.0);
+  EXPECT_DOUBLE_EQ(relErrorScale(std::vector<double>{0.25}), 1.0);
+  EXPECT_DOUBLE_EQ(relError(ref, ref, scale), 0.0);
+  EXPECT_DOUBLE_EQ(relError(std::vector<double>{4.0, -1.0, 0.5}, ref, scale),
+                   0.25);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, kInf, -kInf}) {
+    const std::vector<double> x = {bad, -2.0, 0.5};
+    EXPECT_FALSE(relError(x, ref, scale) <= 1e-10) << bad;
+    const std::vector<double> late = {4.0, -2.0, bad};
+    EXPECT_FALSE(relError(late, ref, scale) <= 1e-10) << bad;
+  }
+  EXPECT_THROW(relError(ref, std::vector<double>{1.0}, 1.0),
+               std::invalid_argument);
+}
 
 TEST(Geomean, MatchesClosedForm) {
   const std::vector<double> v = {1.0, 4.0, 16.0};
@@ -160,24 +179,6 @@ TEST(MaxRate, HighestPassingRungWinsOverALowerStall) {
   EXPECT_NEAR(maxSustainedRate(ladder, 0.01), expect, 1e-9);
   const std::vector<StepOutcome> none = {{100, 0.5, false}};
   EXPECT_DOUBLE_EQ(maxSustainedRate(none, 0.01), 0.0);
-}
-
-TEST(Spans, SelfTimeSubtractsDirectChildren) {
-  SpanRecorder rec;
-  rec.setEnabled(true);
-  {
-    ScopedSpan outer(rec, "exec.analyze");
-    { ScopedSpan inner(rec, "dag.build"); }
-    { ScopedSpan inner(rec, "core.growlocal"); }
-  }
-  rec.addRequest("engine.request", 7, 1000, 5000);
-  const auto self = rec.selfSeconds();
-  ASSERT_EQ(self.size(), 4u);
-  EXPECT_GE(self.at("exec.analyze"), 0.0);
-  EXPECT_DOUBLE_EQ(self.at("engine.request"), 4e-6);
-  SpanRecorder off;
-  { ScopedSpan ignored(off, "dag.build"); }
-  EXPECT_EQ(off.size(), 0u);
 }
 
 }  // namespace
