@@ -152,27 +152,6 @@ void BM_P2pSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_P2pSolve);
 
-/// Scalar multi-RHS row kernel (computeRowMulti: the shared-CSR walk's
-/// column loop, variable width) over every row serially; Arg = nrhs.
-void BM_MultiRhsKernelScalar(benchmark::State& state) {
-  const auto& lower = benchMatrix();
-  const auto r = static_cast<size_t>(state.range(0));
-  const auto n = static_cast<size_t>(lower.rows());
-  const std::vector<double> b(n * r, 1.0);
-  std::vector<double> x(b.size(), 0.0);
-  for (auto _ : state) {
-    for (index_t i = 0; i < lower.rows(); ++i) {
-      exec::detail::computeRowMulti(lower.rowPtr(), lower.colIdx(),
-                                    lower.values(), b, x, i,
-                                    static_cast<index_t>(r));
-    }
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetItemsProcessed(state.iterations() * lower.nnz() *
-                          static_cast<int64_t>(r));
-}
-BENCHMARK(BM_MultiRhsKernelScalar)->Arg(4)->Arg(8);
-
 /// Column-blocked multi-RHS row kernel (computeRowMultiPacked: fixed
 /// 8/4-wide register blocks + tail — the slab walk's kernel) on the SAME
 /// CSR memory, isolating the kernel effect from the layout effect.
@@ -203,8 +182,8 @@ void BM_MultiRhsKernelBlocked(benchmark::State& state) {
 BENCHMARK(BM_MultiRhsKernelBlocked)->Arg(4)->Arg(8);
 
 /// End-to-end storage ablation on one executor: the full multi-RHS solve
-/// through the shared CSR vs the thread-local slab (layout + blocked
-/// kernel + prefetch); Arg = nrhs.
+/// (one n x nrhs tile) through the shared CSR vs the thread-local slab
+/// (layout + prefetch); Arg = nrhs.
 void BM_BspSolveMultiStorage(benchmark::State& state,
                              exec::StorageKind storage) {
   const auto& lower = benchMatrix();
@@ -216,8 +195,9 @@ void BM_BspSolveMultiStorage(benchmark::State& state,
       static_cast<size_t>(lower.rows()) * static_cast<size_t>(r), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solveMultiRhs(b, x, r, *ctx, executor.numThreads(),
-                           core::FoldPolicy::kModulo, storage);
+    executor.solveTiles(b, x, exec::TileLayout(lower.rows(), r, r), *ctx,
+                        executor.numThreads(), core::FoldPolicy::kModulo,
+                        storage);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz() *

@@ -2,10 +2,12 @@
 /// executor x team x nrhs. The slab layout (exec/slab.hpp) packs each
 /// thread's rows, in execution order, into a private cache-line-aligned
 /// record stream — zero row_ptr indirection, no cross-thread sharing of
-/// matrix data — and its multi-RHS kernel is vectorized across RHS
-/// columns (row_kernels.hpp). This bench measures what that buys on the
-/// hot path and re-checks the storage contract end to end: both layouts
-/// must produce bitwise-identical solutions on every configuration.
+/// matrix data. Both layouts run the same row kernels (row_kernels.hpp),
+/// so this bench measures what the layout alone buys on the hot path and
+/// re-checks the storage contract end to end: both layouts must produce
+/// bitwise-identical solutions on every configuration. Each solve is one
+/// solveTiles call on the batch as a single row-major n x nrhs tile, in
+/// the solver's internal row order (no permute or pack pass is timed).
 ///
 ///   STS_BENCH_SCALE / STS_BENCH_REPS  dataset sizing as usual;
 ///   STS_SLAB_WIDTH  (default 4)       analyzed schedule width C;
@@ -35,6 +37,7 @@ using namespace sts;
 using exec::SchedulerKind;
 using exec::SolverOptions;
 using exec::StorageKind;
+using exec::TileLayout;
 using exec::TriangularSolver;
 
 using sts::bench::envInt;
@@ -58,8 +61,8 @@ double timeSolves(const TriangularSolver& solver, exec::SolveContext& ctx,
   seconds.reserve(static_cast<size_t>(reps));
   for (int pass = 0; pass < reps; ++pass) {
     const auto t0 = Clock::now();
-    solver.solveMultiRhs(b, x, nrhs, ctx, team,
-                         solver.options().fold_policy, storage);
+    solver.solveTiles(b, x, TileLayout(solver.numRows(), nrhs, nrhs), ctx,
+                      team, solver.options().fold_policy, storage);
     seconds.push_back(
         std::chrono::duration<double>(Clock::now() - t0).count());
   }
@@ -143,12 +146,12 @@ int main() {
           std::vector<double> x_slab(b.size());
           // Warmup pass per storage also pays the one-time plan/slab
           // builds outside the timed region (the amortized regime).
-          solver.solveMultiRhs(b, x_shared, nrhs, *ctx, team,
-                               solver.options().fold_policy,
-                               StorageKind::kSharedCsr);
-          solver.solveMultiRhs(b, x_slab, nrhs, *ctx, team,
-                               solver.options().fold_policy,
-                               StorageKind::kSlab);
+          const TileLayout one_tile(solver.numRows(), nrhs, nrhs);
+          solver.solveTiles(b, x_shared, one_tile, *ctx, team,
+                            solver.options().fold_policy,
+                            StorageKind::kSharedCsr);
+          solver.solveTiles(b, x_slab, one_tile, *ctx, team,
+                            solver.options().fold_policy, StorageKind::kSlab);
           if (x_shared != x_slab) bitwise_ok = false;
 
           Row row;

@@ -1,26 +1,27 @@
-/// Tiled multi-RHS bench: cache-sized column tiles vs the PR 5
-/// column-blocked path across executor x storage x team x nrhs. The tile
-/// layout (exec/tile.hpp) repacks the batch into per-tile row-major n x w
-/// blocks sized to a per-thread L2 share, so each superstep's matrix pass
-/// touches a working set that fits in cache, and the shared-CSR tile
-/// kernel (computeRowMultiTiled) register-blocks across RHS columns. Both
-/// paths must produce bitwise-identical solutions on every configuration
-/// — a tile is an independent n x w sub-problem in exactly the untiled
-/// kernels' layout, so each column's FP sequence is unchanged.
+/// Tiled multi-RHS bench: cache-sized column tiles vs the untiled
+/// baseline — the whole batch as ONE row-major n x nrhs tile — across
+/// executor x storage x team x nrhs. The tile layout (exec/tile.hpp)
+/// repacks the batch into per-tile row-major n x w blocks sized to a
+/// per-thread L2 share, so each superstep's matrix pass touches a working
+/// set that fits in cache. Both runs must produce bitwise-identical
+/// solutions on every configuration — a tile is an independent n x w
+/// sub-problem, so each column's FP sequence is unchanged.
 ///
 ///   STS_BENCH_SCALE / STS_BENCH_REPS  dataset sizing as usual;
 ///   STS_TILED_WIDTH  (default 4)      analyzed schedule width C;
 ///   STS_TILED_REPS   (default 5)      timed passes per configuration;
 ///   STS_TILE_COLS                     overrides the tile width (tile.cpp).
 ///
-/// Timing compares like with like: the tiled pass is timed on PRE-packed
-/// buffers (solveTiles — the engine's zero-copy entry packs requests
-/// directly into tiles, so steady-state serving never pays a separate
-/// pack), against the untiled solveMultiRhs on the same team. Per-row
-/// bytes_moved/flops feed tools/roofline.py. Exit code 0 iff tiled equals
-/// untiled bitwise everywhere — deliberately NOT a speed gate, so the
-/// bench stays robust on 1-core CI runners; the nrhs >= 8 geomean speedup
-/// is reported for the trajectory snapshots (BENCH_8.json).
+/// Timing compares like with like: both runs are solveTiles passes on
+/// PRE-packed, pre-permuted buffers on the same team (the engine's
+/// zero-copy entry packs requests directly into tiles, so steady-state
+/// serving never pays a separate pack); only the layout differs. The
+/// public solveMultiRhs (fused permute + pack) is checked bitwise too.
+/// Per-row bytes_moved/flops feed tools/roofline.py. Exit code 0 iff
+/// every result equals the one-tile baseline bitwise — deliberately NOT a
+/// speed gate, so the bench stays robust on 1-core CI runners; the
+/// nrhs >= 8 geomean speedup is reported for the trajectory snapshots
+/// (BENCH_8.json).
 
 #include <algorithm>
 #include <chrono>
@@ -64,24 +65,9 @@ struct Row {
   std::size_t flops = 0;
 };
 
-double timeUntiled(const TriangularSolver& solver, exec::SolveContext& ctx,
-                   std::span<const double> b, std::span<double> x,
-                   index_t nrhs, int team, StorageKind storage, int reps) {
-  using Clock = std::chrono::high_resolution_clock;
-  std::vector<double> seconds;
-  seconds.reserve(static_cast<size_t>(reps));
-  for (int pass = 0; pass < reps; ++pass) {
-    const auto t0 = Clock::now();
-    solver.solveMultiRhs(b, x, nrhs, ctx, team,
-                         solver.options().fold_policy, storage);
-    seconds.push_back(
-        std::chrono::duration<double>(Clock::now() - t0).count());
-  }
-  return harness::quantile(seconds, 0.5);
-}
-
-double timeTiled(const TriangularSolver& solver, exec::SolveContext& ctx,
-                 std::span<const double> b_tiled, std::span<double> x_tiled,
+/// Median seconds of `reps` solveTiles passes on pre-packed buffers.
+double timeTiles(const TriangularSolver& solver, exec::SolveContext& ctx,
+                 std::span<const double> b, std::span<double> x,
                  const TileLayout& layout, int team, StorageKind storage,
                  int reps) {
   using Clock = std::chrono::high_resolution_clock;
@@ -89,8 +75,8 @@ double timeTiled(const TriangularSolver& solver, exec::SolveContext& ctx,
   seconds.reserve(static_cast<size_t>(reps));
   for (int pass = 0; pass < reps; ++pass) {
     const auto t0 = Clock::now();
-    solver.solveTiles(b_tiled, x_tiled, layout, ctx, team,
-                      solver.options().fold_policy, storage);
+    solver.solveTiles(b, x, layout, ctx, team, solver.options().fold_policy,
+                      storage);
     seconds.push_back(
         std::chrono::duration<double>(Clock::now() - t0).count());
   }
@@ -104,7 +90,7 @@ int main() {
   const int reps = envInt("STS_TILED_REPS", 5);
 
   bench::banner("Tiled multi-RHS", "Steiner et al. (locality follow-up)",
-                "Cache-sized RHS column tiles vs the column-blocked path, "
+                "Cache-sized RHS column tiles vs one row-major tile, "
                 "executor x storage x team x nrhs");
   std::printf("schedule width %d, %d timed reps per configuration\n\n", width,
               reps);
@@ -177,23 +163,11 @@ int main() {
               b[i] = 1.0 + 0.25 * static_cast<double>((3 * i + e) % 17);
             }
             const TileLayout layout = solver.tileLayout(nrhs);
+            const TileLayout one_tile(solver.numRows(), nrhs, nrhs);
 
-            // Reference: the column-blocked untiled path (warmup also pays
-            // the one-time plan/slab builds outside the timed region).
-            std::vector<double> x_ref(b.size());
-            solver.solveMultiRhs(b, x_ref, nrhs, *ctx, team,
-                                 solver.options().fold_policy, storage);
-
-            // Full public tiled path (internal pack + permutation): the
-            // bitwise gate checks the layer users actually call.
-            std::vector<double> x_tiled_public(b.size());
-            solver.solveMultiRhsTiled(b, x_tiled_public, nrhs, *ctx, team,
-                                      solver.options().fold_policy, storage);
-            if (x_ref != x_tiled_public) bitwise_ok = false;
-
-            // Pre-packed buffers for the timed solveTiles passes: permute
-            // into schedule order, then tile — exactly what the engine's
-            // fused pack produces, paid once outside the timing.
+            // Permute into schedule order once, outside the timing: the
+            // row-major result is already the one-tile packed form, and
+            // tiling it is exactly what the engine's fused pack produces.
             std::vector<double> b_perm(b.size());
             for (size_t i = 0; i < n; ++i) {
               const size_t row = permuted ? static_cast<size_t>(perm[i]) : i;
@@ -204,6 +178,26 @@ int main() {
             std::vector<double> b_tiled(layout.totalDoubles());
             std::vector<double> x_tiled(layout.totalDoubles());
             layout.pack(b_perm, b_tiled);
+
+            // Reference: the one-tile baseline (warmup also pays the
+            // one-time plan/slab builds outside the timed region).
+            std::vector<double> x_ref(b.size());
+            solver.solveTiles(b_perm, x_ref, one_tile, *ctx, team,
+                              solver.options().fold_policy, storage);
+
+            // Full public path (internal pack + permutation): the bitwise
+            // gate checks the layer users actually call.
+            std::vector<double> x_public(b.size());
+            solver.solveMultiRhs(b, x_public, nrhs, *ctx, team,
+                                 solver.options().fold_policy, storage);
+            for (size_t i = 0; i < n && bitwise_ok; ++i) {
+              const size_t row = permuted ? static_cast<size_t>(perm[i]) : i;
+              for (size_t c = 0; c < r; ++c) {
+                if (x_public[row * r + c] != x_ref[i * r + c]) {
+                  bitwise_ok = false;
+                }
+              }
+            }
 
             Row row;
             row.dataset = entry_dataset[e];
@@ -216,9 +210,9 @@ int main() {
             row.num_tiles = layout.numTiles();
             row.rows_n = static_cast<long long>(entry.lower.rows());
             row.nnz = static_cast<long long>(entry.lower.nnz());
-            row.untiled_seconds = timeUntiled(solver, *ctx, b, x_ref, nrhs,
-                                              team, storage, reps);
-            row.tiled_seconds = timeTiled(solver, *ctx, b_tiled, x_tiled,
+            row.untiled_seconds = timeTiles(solver, *ctx, b_perm, x_ref,
+                                            one_tile, team, storage, reps);
+            row.tiled_seconds = timeTiles(solver, *ctx, b_tiled, x_tiled,
                                           layout, team, storage, reps);
             row.tiled_speedup = row.tiled_seconds > 0.0
                                     ? row.untiled_seconds / row.tiled_seconds
@@ -233,18 +227,10 @@ int main() {
                 layout.bytesMoved();
             row.flops = 2 * static_cast<std::size_t>(entry.lower.nnz()) * r;
 
-            // The pre-packed result must match the reference after
-            // unpacking back to natural row order.
+            // The tiled result must match the reference after unpacking.
             std::vector<double> x_unpacked(b.size());
             layout.unpack(x_tiled, x_unpacked);
-            std::vector<double> x_nat(b.size());
-            for (size_t i = 0; i < n; ++i) {
-              const size_t dst = permuted ? static_cast<size_t>(perm[i]) : i;
-              for (size_t c = 0; c < r; ++c) {
-                x_nat[dst * r + c] = x_unpacked[i * r + c];
-              }
-            }
-            if (x_ref != x_nat) bitwise_ok = false;
+            if (x_unpacked != x_ref) bitwise_ok = false;
 
             std::printf("%-14s %-10s %-10s team %2d nrhs %2d "
                         "(tile %2d x%2d): untiled %9.3f ms  tiled %9.3f ms "
@@ -293,7 +279,7 @@ int main() {
               multi_geomean, bitwise_ok ? "true" : "false");
 
   std::printf("\nclaim under test: the tiled walk is bitwise identical to "
-              "the column-blocked walk on\nevery executor x storage x team "
+              "the one-tile walk on\nevery executor x storage x team "
               "x nrhs configuration (speed is reported, not gated).\n");
   std::printf("multi-RHS (nrhs >= 8) tiled geomean speedup: %.2fx\n",
               multi_geomean);

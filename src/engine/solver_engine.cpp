@@ -292,7 +292,7 @@ void SolverEngine::rejectRequest(SolveRequest&& request, Registered& reg,
 }
 
 void SolverEngine::dispatch(SolveRequest&& request, Registered& reg) {
-  const SolverId id = request.solver;
+  [[maybe_unused]] const SolverId id = request.solver;  // trace-only
   const sts::index_t nrhs = request.nrhs;
   const auto submitted = request.submitted;
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
@@ -399,12 +399,13 @@ void SolverEngine::shutdown() {
 }
 
 void SolverEngine::stop() {
-  queue_.close();
-  // Fail-fast the backlog BEFORE joining: a paused engine's workers are
-  // parked in popBatch and will wake from close() to an empty queue.
-  // Requests a worker pops concurrently simply execute — each request
-  // goes exactly one way.
+  // Fail-fast the backlog BEFORE closing: close() wakes a paused engine's
+  // parked workers and ignores the pause, so a backlog still queued then
+  // would be dispatched instead of failed. Requests a worker pops
+  // concurrently, or that are submitted between the drain and the close,
+  // simply execute — each request goes exactly one way.
   auto queued = queue_.drainAll();
+  queue_.close();
   for (auto& request : queued) {
     Registered& reg = registered(request.solver);
     {
@@ -685,21 +686,17 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
         } else if (request.nrhs == 1) {
           solver.solve(request.b, x, lease.context(), team, fold_policy,
                        storage);
-        } else if (options_.tiled) {
-          // A lone multi-RHS request still gains the tiled layout (the
-          // solver fuses its permute and pack passes internally).
-          tiled_batch = true;
-          solver.solveMultiRhsTiled(request.b, x, request.nrhs,
-                                    lease.context(), team, fold_policy,
-                                    storage);
         } else {
+          // A lone multi-RHS request runs on the solver's column tiles
+          // (it fuses its permute and pack passes internally).
+          tiled_batch = true;
           solver.solveMultiRhs(request.b, x, request.nrhs, lease.context(),
                                team, fold_policy, storage);
         }
       }
       results.push_back(std::move(x));
-    } else if (options_.tiled && !bounded_stale) {
-      // Coalesced batch, tiled layout: the k request vectors are packed
+    } else if (!bounded_stale) {
+      // Coalesced batch: the k request vectors are packed
       // DIRECTLY into the solver's cache-sized column tiles — permutation
       // fused into the pack, no intermediate row-major staging matrix —
       // solved via the zero-copy solveTiles entry, then unpacked per tile
@@ -760,8 +757,10 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
                 .count();
       }
     } else {
-      // Coalesced batch: k single-RHS requests become the k columns of one
-      // row-major n x k SpTRSM — one schedule traversal for all of them.
+      // Coalesced bounded-stale batch: k single-RHS requests become the k
+      // columns of one row-major n x k SSP solve. It stays row-major: the
+      // SSP multi-RHS kernels read whole dropped entries per row, which
+      // the column tiling would split across sweeps.
       total_rhs = static_cast<sts::index_t>(k);
       std::vector<double> b_packed(n * k);
       std::vector<double> x_packed(n * k);
@@ -779,18 +778,9 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       }
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        if (bounded_stale) {
-          // Bounded-stale batches stay row-major: the SSP multi-RHS
-          // kernels read whole dropped entries per row, which the column
-          // tiling would split across sweeps.
-          ssp_result = solver.solveBoundedStaleMultiRhs(
-              b_packed, x_packed, static_cast<sts::index_t>(k), ssp_opts,
-              lease.context(), team, fold_policy, storage);
-        } else {
-          solver.solveMultiRhs(b_packed, x_packed,
-                               static_cast<sts::index_t>(k), lease.context(),
-                               team, fold_policy, storage);
-        }
+        ssp_result = solver.solveBoundedStaleMultiRhs(
+            b_packed, x_packed, static_cast<sts::index_t>(k), ssp_opts,
+            lease.context(), team, fold_policy, storage);
       }
       STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
       const auto u0 = std::chrono::steady_clock::now();

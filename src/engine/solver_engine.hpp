@@ -38,7 +38,9 @@
 ///    OpenMP team, so distinct workers can solve concurrently against the
 ///    same analyzed schedule.
 ///  * Compatible queued single-RHS requests for one solver coalesce into a
-///    single solveMultiRhs batch of up to `max_batch` columns: one
+///    single multi-RHS batch of up to `max_batch` columns, packed straight
+///    into the solver's column tiles (exec/tile.hpp) and solved by one
+///    solveTiles call: one
 ///    schedule traversal — one barrier crossing per superstep — serves the
 ///    whole batch (the Table 7.7 block-parallel amortization applied to
 ///    serving). Column results are bitwise equal to individual solve()
@@ -82,8 +84,8 @@
 ///    serving, where the surrounding Krylov loop absorbs a bounded
 ///    residual. Refinement counts, fallbacks, and the last residual land
 ///    in SolverServingStats and the metrics registry. Tiers compose with
-///    elasticity, budgeting, pinning, and storage; `tiled` stays an
-///    exact-tier layout (bounded-stale batches run row-major).
+///    elasticity, budgeting, pinning, and storage; the column tiles stay
+///    an exact-tier layout (bounded-stale batches run row-major).
 ///  * Per-solver throughput/latency statistics aggregate via the
 ///    harness::stats quantile helpers (SolverServingStats).
 ///  * Request lifecycle (PR 10, docs/ROBUSTNESS.md): the SubmitOptions

@@ -149,8 +149,7 @@ struct SolveResponse {
 /// | `pin_threads`          | WHERE the granted team executes | pins each team member to one leased id (auto-detects `core_set` from the process mask when empty); placement only — results stay bitwise identical |
 /// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack; any width from the rules above executes losslessly |
 /// | `storage` (engine or solver) | WHAT memory layout the hot loop walks | engine `storage` overrides each solver's `SolverOptions::storage` when set; kSlab streams per-(team, policy) thread-local packed records, kSharedCsr walks the analyzed CSR. Layout only — results stay bitwise identical |
-/// | `tiled`                | HOW multi-RHS batches are laid out | on (default): coalesced batches pack straight into the solver's cache-sized column tiles (exec/tile.hpp) and run the tiled executor path — register-blocked CSR kernels, L2-resident RHS. off: the row-major solveMultiRhs path. Layout only — results stay bitwise identical; composes with every row above (`storage` picks the matrix side, `tiled` the RHS side) |
-/// | `tier`                 | WHICH numerical contract batches satisfy | kExact (default): bitwise-deterministic direct solves. kBoundedStale: SSP sweeps with `stale_supersteps` relaxed barriers + residual-checked refinement to `stale_tolerance` (cap `stale_max_refine`, then exact fallback). Composes with every row above — elasticity, budget, pinning, and storage apply unchanged; `tiled` applies to the exact tier only (bounded-stale batches run the row-major SSP path). Refinement counts/residuals land in SolverServingStats and the metrics registry |
+/// | `tier`                 | WHICH numerical contract batches satisfy | kExact (default): bitwise-deterministic direct solves. kBoundedStale: SSP sweeps with `stale_supersteps` relaxed barriers + residual-checked refinement to `stale_tolerance` (cap `stale_max_refine`, then exact fallback). Composes with every row above — elasticity, budget, pinning, and storage apply unchanged; exact-tier multi-RHS batches pack into the solver's column tiles (exec/tile.hpp), bounded-stale batches run the row-major SSP path. Refinement counts/residuals land in SolverServingStats and the metrics registry |
 /// | `max_queue_depth`      | HOW MUCH backlog the queue may hold | 0 (default): unbounded (every accepted submission queues). >0: submissions beyond the bound resolve their future with `EngineError{kRejected}` — bounded memory and bounded queue delay instead of queue collapse. Composes with every row above; rejection happens before any adaptive machinery sees the request |
 /// | `overload_control`     | WHETHER the degradation ladder runs | off (default): the configured `tier` serves every batch, nothing is rejected by pressure. on: an `OverloadController` (hysteresis like the SLO controller) estimates queue delay from depth x the registry's batch-latency histogram (and the oldest queued wait) and walks exact -> bounded-stale precision shedding (staleness/tolerance raised per rung, surfaced per-response in `DegradeInfo`) -> reject new throughput-class work at the top rung. Composes with `tier`: a kBoundedStale engine degrades FROM its configured staleness. Every transition is a trace instant + registry counters (`sts.engine.admitted/degraded/rejected/expired`) |
 /// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per (team, storage); executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
@@ -242,15 +241,6 @@ struct EngineOptions {
   /// `elastic`; off by default because it doubles the per-batch staging
   /// memory and coalesced-request latency envelope `max_batch` implies.
   bool adaptive_batch = false;
-  /// Execute multi-RHS batches through the tiled path: requests are packed
-  /// DIRECTLY into the solver's cache-sized column tiles (exec/tile.hpp,
-  /// permutation fused into the pack — no intermediate row-major staging)
-  /// and solved via TriangularSolver::solveTiles, then unpacked per tile
-  /// into the per-request result vectors. Single-RHS batches are unaffected
-  /// (one column is its own tile). Pure layout choice — bitwise identical
-  /// results; tiled batches count in SolverServingStats::tiled_batches and
-  /// the pack/unpack passes in pack_seconds / unpack_seconds.
-  bool tiled = true;
   /// The numerical contract every batch satisfies (see ServiceTier): the
   /// exact executors, or the bounded-stale SSP path with the three
   /// `stale_*` knobs below. A per-engine choice — register the same
@@ -374,9 +364,9 @@ struct SolverServingStats {
   /// Batches executed on the slab (thread-local packed) storage layout —
   /// EngineOptions::storage override or the solver's own default.
   std::uint64_t slab_batches = 0;
-  /// Multi-RHS batches executed through the tiled layout
-  /// (EngineOptions::tiled): packed straight into column tiles and solved
-  /// via solveTiles.
+  /// Exact-tier multi-RHS batches, all executed through the tiled layout:
+  /// packed straight into the solver's column tiles and solved via
+  /// solveTiles (or solveMultiRhs for a lone multi-RHS request).
   std::uint64_t tiled_batches = 0;
   /// Summed wall time spent packing request vectors into the batch layout
   /// (row-major or tiled) before the solve, per solver.

@@ -1,113 +1,25 @@
 #include "exec/bsp.hpp"
 
-#include <omp.h>
-
 #include <stdexcept>
 
-#include "exec/affinity.hpp"
 #include "exec/row_kernels.hpp"
 #include "exec/serial.hpp"
-#include "fault/failpoint.hpp"
+#include "exec/walk.hpp"
 #include "obs/trace.hpp"
 
 namespace sts::exec {
 
-using detail::computeRow;
-using detail::computeRowMulti;
 using detail::requireVectorSizes;
-
-namespace {
-
-/// The one OpenMP region shape shared by every barrier-synchronous slab
-/// walk (BspExecutor and ContiguousBspExecutor, single- and multi-RHS):
-/// pin + note, then stream the thread's slab with a barrier after every
-/// superstep. The per-record kernel is the only degree of freedom, so the
-/// hot region cannot diverge between executors (the row_kernels.hpp
-/// single-definition argument, applied to the region).
-template <typename NotePinFn, typename KernelFn>
-void slabSuperstepRegion(const detail::SlabPlan& plan, index_t steps,
-                         int team, std::span<const int> pin_set,
-                         SpinBarrier& barrier, obs::SolveTrace* sink,
-                         NotePinFn&& note_pin, KernelFn&& kernel) {
-  const bool sync = team > 1;
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    note_pin(pin);
-    obs::StepTracer tracer(sink);
-    std::uint64_t step = 0;
-    int sense = barrier.initialSense();
-    detail::forEachSlabRecord(plan.threads[t], steps, kernel, [&] {
-      // Superstep latency-spike failpoint (delay actions only: a throw
-      // escaping this omp region would terminate). A rank-filtered delay
-      // here models a straggler thread stretching every barrier.
-      STS_FAILPOINT_RANK("exec.superstep", t);
-      tracer.computeDone(step);
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(step);
-      }
-      ++step;
-    });
-  }
-}
-
-/// Tiled sibling of slabSuperstepRegion: each superstep's record run is
-/// replayed once per RHS column tile (forEachSlabRecordTiled) before the
-/// barrier, so the barrier count stays one per superstep regardless of
-/// tile count. The kernel receives (record, tile index).
-template <typename NotePinFn, typename KernelFn>
-void slabSuperstepRegionTiled(const detail::SlabPlan& plan, index_t steps,
-                              index_t tiles, int team,
-                              std::span<const int> pin_set,
-                              SpinBarrier& barrier, obs::SolveTrace* sink,
-                              NotePinFn&& note_pin, KernelFn&& kernel) {
-  const bool sync = team > 1;
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    note_pin(pin);
-    obs::StepTracer tracer(sink);
-    std::uint64_t step = 0;
-    int sense = barrier.initialSense();
-    detail::forEachSlabRecordTiled(plan.threads[t], steps, tiles, kernel,
-                                   [&] {
-                                     tracer.computeDone(step);
-                                     if (sync) {
-                                       barrier.wait(sense, team);
-                                       tracer.waitDone(step);
-                                     }
-                                     ++step;
-                                   });
-  }
-}
-
-}  // namespace
 
 BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
     : lower_(lower),
       num_threads_(schedule.numCores()),
       num_supersteps_(schedule.numSupersteps()),
+      full_(detail::listsFromSchedule(schedule)),
       default_ctx_(schedule.numCores(), lower.rows()) {
   requireSolvableLower(lower);
   if (schedule.numVertices() != lower.rows()) {
     throw std::invalid_argument("BspExecutor: schedule/matrix size mismatch");
-  }
-  full_.verts.resize(static_cast<size_t>(num_threads_));
-  full_.step_ptr.resize(static_cast<size_t>(num_threads_));
-  for (int t = 0; t < num_threads_; ++t) {
-    auto& verts = full_.verts[static_cast<size_t>(t)];
-    auto& ptr = full_.step_ptr[static_cast<size_t>(t)];
-    ptr.push_back(0);
-    for (index_t s = 0; s < num_supersteps_; ++s) {
-      const auto group = schedule.group(s, t);
-      verts.insert(verts.end(), group.begin(), group.end());
-      ptr.push_back(static_cast<offset_t>(verts.size()));
-    }
   }
   rank_loads_ = detail::threadListLoads(full_.verts, full_.step_ptr,
                                         num_supersteps_, lower.rowPtr());
@@ -128,86 +40,40 @@ const detail::FoldedLists& BspExecutor::foldedPlan(
 
 const detail::SlabPlan& BspExecutor::slabPlan(int team,
                                               core::FoldPolicy policy) const {
-  if (team == num_threads_) {
-    // The full-width plan is policy-invariant; build one slab and share
-    // it across the policy slots instead of packing the matrix twice.
-    return slabs_.getPolicyShared(team, [this]([[maybe_unused]] int t) {
-      STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-      return detail::buildSlabPlan(lower_, full_);
-    });
+  return detail::cachedSlabPlan(
+      slabs_, lower_, num_threads_, team, policy,
+      [this](int t, core::FoldPolicy p) -> const detail::FoldedLists& {
+        return foldedPlan(t, p);
+      });
+}
+
+template <typename Kernel>
+void BspExecutor::walk(SolveContext& ctx, int team, core::FoldPolicy policy,
+                       StorageKind storage, std::size_t tiles,
+                       const Kernel& kernel, const char* who) const {
+  detail::requireTeamSize(team, num_threads_, who);
+  ctx.requireShape(team, lower_.rows(), who);
+  if (storage == StorageKind::kSlab) {
+    detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
+                                 slabPlan(team, policy), tiles, kernel);
+  } else {
+    detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
+                                 foldedPlan(team, policy), tiles, kernel);
   }
-  return slabs_.get(team, policy, [this](int t, core::FoldPolicy p) {
-    STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-    return detail::buildSlabPlan(lower_, foldedPlan(t, p));
-  });
 }
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,
                         SolveContext& ctx, int team, core::FoldPolicy policy,
                         StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveSlab(b, x, ctx, team, policy);
-    return;
-  }
-  solve(b, x, ctx, team, policy);
-}
-
-void BspExecutor::solveSlab(std::span<const double> b, std::span<double> x,
-                            SolveContext& ctx, int team,
-                            core::FoldPolicy policy) const {
   requireVectorSizes(lower_, b, x, 1, "BspExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "BspExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solve");
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowPacked(rec.cols, rec.vals, rec.nnz, rec.diag, b, x,
-                                 rec.row);
-      });
+  walk(ctx, team, policy, storage, 1, detail::RhsKernel(lower_, b, x),
+       "BspExecutor::solve");
 }
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,
                         SolveContext& ctx, int team,
                         core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, 1, "BspExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "BspExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solve");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    const auto& verts = plan.verts[t];
-    const auto& ptr = plan.step_ptr[t];
-    for (index_t s = 0; s < steps; ++s) {
-      const auto begin = static_cast<size_t>(ptr[static_cast<size_t>(s)]);
-      const auto end = static_cast<size_t>(ptr[static_cast<size_t>(s) + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        computeRow(row_ptr, col_idx, values, b, x, verts[k]);
-      }
-      // Same straggler failpoint as the slab region (delay actions only).
-      STS_FAILPOINT_RANK("exec.superstep", t);
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
+  solve(b, x, ctx, team, policy, StorageKind::kSharedCsr);
 }
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,
@@ -224,154 +90,14 @@ void BspExecutor::solve(std::span<const double> b, std::span<double> x) const {
   solve(b, x, default_ctx_, num_threads_, core::FoldPolicy::kModulo);
 }
 
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team,
-                                core::FoldPolicy policy,
-                                StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsSlab(b, x, nrhs, ctx, team, policy);
-    return;
-  }
-  solveMultiRhs(b, x, nrhs, ctx, team, policy);
-}
-
-void BspExecutor::solveMultiRhsSlab(std::span<const double> b,
-                                    std::span<double> x, index_t nrhs,
-                                    SolveContext& ctx, int team,
-                                    core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs, "BspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_, "BspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhs");
-  const auto r = static_cast<size_t>(nrhs);
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      b, x, rec.row, r);
-      });
-}
-
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team,
-                                core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs, "BspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_, "BspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhs");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const auto r = static_cast<size_t>(nrhs);
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    const auto& verts = plan.verts[t];
-    const auto& ptr = plan.step_ptr[t];
-    for (index_t s = 0; s < steps; ++s) {
-      const auto begin = static_cast<size_t>(ptr[static_cast<size_t>(s)]);
-      const auto end = static_cast<size_t>(ptr[static_cast<size_t>(s) + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        computeRowMulti(row_ptr, col_idx, values, b, x, verts[k], r);
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
-void BspExecutor::solveMultiRhsTiled(std::span<const double> b,
-                                     std::span<double> x,
-                                     const TileLayout& layout,
-                                     SolveContext& ctx, int team,
-                                     core::FoldPolicy policy,
-                                     StorageKind storage) const {
-  requireTileShapes(lower_.rows(), layout, b, x,
-                    "BspExecutor::solveMultiRhsTiled");
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsTiledSlab(b, x, layout, ctx, team, policy);
-    return;
-  }
-  detail::requireTeamSize(team, num_threads_,
-                          "BspExecutor::solveMultiRhsTiled");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhsTiled");
-  const detail::FoldedLists& plan = foldedPlan(team, policy);
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
+void BspExecutor::solveTiles(std::span<const double> b, std::span<double> x,
+                             const TileLayout& layout, SolveContext& ctx,
+                             int team, core::FoldPolicy policy,
+                             StorageKind storage) const {
+  requireTileShapes(lower_.rows(), layout, b, x, "BspExecutor::solveTiles");
   const TileViews tiles = makeTileViews(layout, b, x);
-  const std::size_t ntiles = tiles.width.size();
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-  {
-    const auto t = static_cast<size_t>(omp_get_thread_num());
-    const ScopedPin pin(pin_set, static_cast<int>(t));
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    const auto& verts = plan.verts[t];
-    const auto& ptr = plan.step_ptr[t];
-    for (index_t s = 0; s < steps; ++s) {
-      const auto begin = static_cast<size_t>(ptr[static_cast<size_t>(s)]);
-      const auto end = static_cast<size_t>(ptr[static_cast<size_t>(s) + 1]);
-      for (std::size_t tk = 0; tk < ntiles; ++tk) {
-        const auto bt = tiles.b[tk];
-        const auto xt = tiles.x[tk];
-        const auto w = tiles.width[tk];
-        for (size_t k = begin; k < end; ++k) {
-          detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt,
-                                       verts[k], w);
-        }
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
-void BspExecutor::solveMultiRhsTiledSlab(std::span<const double> b,
-                                         std::span<double> x,
-                                         const TileLayout& layout,
-                                         SolveContext& ctx, int team,
-                                         core::FoldPolicy policy) const {
-  detail::requireTeamSize(team, num_threads_,
-                          "BspExecutor::solveMultiRhsTiled");
-  ctx.requireShape(team, lower_.rows(), "BspExecutor::solveMultiRhsTiled");
-  const TileViews tiles = makeTileViews(layout, b, x);
-  slabSuperstepRegionTiled(
-      slabPlan(team, policy), num_supersteps_, layout.numTiles(), team,
-      ctx.pinnedCores(), ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec, index_t tile) {
-        const auto tk = static_cast<std::size_t>(tile);
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      tiles.b[tk], tiles.x[tk], rec.row,
-                                      tiles.width[tk]);
-      });
+  walk(ctx, team, policy, storage, tiles.width.size(),
+       detail::TileKernel(lower_, tiles), "BspExecutor::solveTiles");
 }
 
 std::size_t BspExecutor::storageBytesMoved(int team, core::FoldPolicy policy,
@@ -382,23 +108,74 @@ std::size_t BspExecutor::storageBytesMoved(int team, core::FoldPolicy policy,
   return csrBytesMoved(lower_.rows(), lower_.nnz());
 }
 
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx, int team) const {
-  solveMultiRhs(b, x, nrhs, ctx, team, core::FoldPolicy::kModulo);
+namespace {
+
+/// Folds the full-width row ranges onto `team` threads by `rank_map`:
+/// folded thread q's superstep-s runs are those of every original rank
+/// mapped to q, in ascending rank, with adjacent runs merged — the
+/// foldThreadLists concatenation order on contiguous rows.
+detail::FoldedRanges foldRanges(const detail::FoldedRanges& full,
+                                index_t steps, int team,
+                                std::span<const int> rank_map) {
+  const auto width = full.runs.size();
+  // Inverted map: ranks of slot q in ascending order, so each superstep
+  // is walked O(width) overall rather than O(team * width).
+  std::vector<std::vector<size_t>> slot_ranks(static_cast<size_t>(team));
+  for (size_t p = 0; p < width; ++p) {
+    slot_ranks[static_cast<size_t>(rank_map[p])].push_back(p);
+  }
+  detail::FoldedRanges plan;
+  plan.runs.resize(static_cast<size_t>(team));
+  plan.step_ptr.resize(static_cast<size_t>(team));
+  for (size_t q = 0; q < plan.runs.size(); ++q) {
+    auto& runs = plan.runs[q];
+    auto& ptr = plan.step_ptr[q];
+    ptr.reserve(static_cast<size_t>(steps) + 1);
+    ptr.push_back(0);
+    for (index_t s = 0; s < steps; ++s) {
+      for (const size_t p : slot_ranks[q]) {
+        const auto& src_ptr = full.step_ptr[p];
+        for (auto k = static_cast<size_t>(src_ptr[static_cast<size_t>(s)]);
+             k < static_cast<size_t>(src_ptr[static_cast<size_t>(s) + 1]);
+             ++k) {
+          const auto [lo, hi] = full.runs[p][k];
+          if (ptr.back() != static_cast<offset_t>(runs.size()) &&
+              runs.back().second == lo) {
+            runs.back().second = hi;  // merge adjacent runs
+          } else {
+            runs.emplace_back(lo, hi);
+          }
+        }
+      }
+      ptr.push_back(static_cast<offset_t>(runs.size()));
+    }
+  }
+  return plan;
 }
 
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs,
-                                SolveContext& ctx) const {
-  solveMultiRhs(b, x, nrhs, ctx, num_threads_, core::FoldPolicy::kModulo);
+/// The row-list form of a range plan (the shape buildSlabPlan packs), in
+/// the exact range walk order.
+detail::FoldedLists rangeRowLists(const detail::FoldedRanges& plan) {
+  detail::FoldedLists lists;
+  lists.verts.resize(plan.runs.size());
+  lists.step_ptr.resize(plan.runs.size());
+  for (size_t q = 0; q < plan.runs.size(); ++q) {
+    auto& verts = lists.verts[q];
+    auto& ptr = lists.step_ptr[q];
+    ptr.push_back(0);
+    for (size_t k = 1; k < plan.step_ptr[q].size(); ++k) {
+      for (auto r = static_cast<size_t>(plan.step_ptr[q][k - 1]);
+           r < static_cast<size_t>(plan.step_ptr[q][k]); ++r) {
+        const auto [lo, hi] = plan.runs[q][r];
+        for (index_t i = lo; i < hi; ++i) verts.push_back(i);
+      }
+      ptr.push_back(static_cast<offset_t>(verts.size()));
+    }
+  }
+  return lists;
 }
 
-void BspExecutor::solveMultiRhs(std::span<const double> b,
-                                std::span<double> x, index_t nrhs) const {
-  solveMultiRhs(b, x, nrhs, default_ctx_, num_threads_,
-                core::FoldPolicy::kModulo);
-}
+}  // namespace
 
 ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
                                              index_t num_supersteps,
@@ -407,214 +184,85 @@ ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
     : lower_(permuted_lower),
       num_supersteps_(num_supersteps),
       num_threads_(num_cores),
-      group_ptr_(std::move(group_ptr)),
       default_ctx_(num_cores, permuted_lower.rows()) {
   requireSolvableLower(permuted_lower);
   const size_t groups = static_cast<size_t>(num_supersteps) *
                         static_cast<size_t>(num_cores);
-  if (group_ptr_.size() != groups + 1 || group_ptr_.front() != 0 ||
-      group_ptr_.back() != static_cast<offset_t>(permuted_lower.rows())) {
+  if (group_ptr.size() != groups + 1 || group_ptr.front() != 0 ||
+      group_ptr.back() != static_cast<offset_t>(permuted_lower.rows())) {
     throw std::invalid_argument("ContiguousBspExecutor: bad group_ptr");
   }
   // Group (s, p) covers a contiguous row range, so its load is one rowPtr
-  // difference: the groups are already superstep-major in group_ptr_.
+  // difference (superstep-major, like group_ptr) and its full-width plan
+  // one run (none when empty).
   const auto row_ptr = lower_.rowPtr();
+  const auto cores = static_cast<size_t>(num_cores);
   rank_loads_.resize(groups);
+  full_.runs.resize(cores);
+  full_.step_ptr.assign(cores, {0});
   for (size_t g = 0; g < groups; ++g) {
-    const auto lo = static_cast<size_t>(group_ptr_[g]);
-    const auto hi = static_cast<size_t>(group_ptr_[g + 1]);
-    rank_loads_[g] = static_cast<core::weight_t>(row_ptr[hi] - row_ptr[lo]);
+    const auto lo = static_cast<index_t>(group_ptr[g]);
+    const auto hi = static_cast<index_t>(group_ptr[g + 1]);
+    rank_loads_[g] = static_cast<core::weight_t>(
+        row_ptr[static_cast<size_t>(hi)] - row_ptr[static_cast<size_t>(lo)]);
+    auto& runs = full_.runs[g % cores];
+    if (lo < hi) runs.emplace_back(lo, hi);
+    full_.step_ptr[g % cores].push_back(static_cast<offset_t>(runs.size()));
   }
-  folded_.init(num_threads_);
+  folded_.init(num_threads_, &full_);
   slabs_.init(num_threads_);
 }
 
-const detail::SlabPlan& ContiguousBspExecutor::slabPlan(
+const detail::FoldedRanges& ContiguousBspExecutor::foldedPlan(
     int team, core::FoldPolicy policy) const {
-  // Materialize the row ranges as explicit per-thread row lists (the
-  // shape buildSlabPlan packs); the slab keeps the exact range walk
-  // order, so results stay bitwise identical to the range path.
-  const auto build = [this](int t, const FoldedRanges* plan) {
-    STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-    detail::FoldedLists lists;
-    lists.verts.resize(static_cast<size_t>(t));
-    lists.step_ptr.resize(static_cast<size_t>(t));
-    for (int q = 0; q < t; ++q) {
-      auto& verts = lists.verts[static_cast<size_t>(q)];
-      auto& ptr = lists.step_ptr[static_cast<size_t>(q)];
-      ptr.push_back(0);
-      for (index_t s = 0; s < num_supersteps_; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(t) +
-                         static_cast<size_t>(q);
-        if (plan == nullptr) {
-          const auto lo = static_cast<index_t>(group_ptr_[g]);
-          const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-          for (index_t i = lo; i < hi; ++i) verts.push_back(i);
-        } else {
-          const auto begin = static_cast<size_t>(plan->range_ptr[g]);
-          const auto end = static_cast<size_t>(plan->range_ptr[g + 1]);
-          for (size_t k = begin; k < end; ++k) {
-            const auto [lo, hi] = plan->ranges[k];
-            for (index_t i = lo; i < hi; ++i) verts.push_back(i);
-          }
-        }
-        ptr.push_back(static_cast<offset_t>(verts.size()));
-      }
-    }
-    return detail::buildSlabPlan(lower_, lists);
-  };
-  if (team == num_threads_) {
-    // Policy-invariant at full width: one slab shared across policies.
-    return slabs_.getPolicyShared(
-        team, [&](int t) { return build(t, nullptr); });
-  }
-  return slabs_.get(team, policy, [&](int t, core::FoldPolicy pol) {
-    return build(t, &foldedPlan(t, pol));
-  });
-}
-
-const ContiguousBspExecutor::FoldedRanges&
-ContiguousBspExecutor::foldedPlan(int team, core::FoldPolicy policy) const {
   return folded_.get(team, policy, [this](int t, core::FoldPolicy pol) {
     STS_TRACE_SPAN1("plan", "fold_build", "team", t);
     const auto map =
         core::foldRankMap(num_supersteps_, num_threads_, t, pol, rank_loads_);
-    // Inverted map: ranks of slot q in ascending order, so each superstep
-    // is walked O(numThreads()) overall rather than O(t * numThreads()).
-    std::vector<std::vector<int>> slot_ranks(static_cast<size_t>(t));
-    for (int p = 0; p < num_threads_; ++p) {
-      slot_ranks[static_cast<size_t>(map[static_cast<size_t>(p)])]
-          .push_back(p);
-    }
-    FoldedRanges plan;
-    plan.range_ptr.reserve(static_cast<size_t>(num_supersteps_) *
-                               static_cast<size_t>(t) + 1);
-    plan.range_ptr.push_back(0);
-    for (index_t s = 0; s < num_supersteps_; ++s) {
-      for (int q = 0; q < t; ++q) {
-        for (const int p : slot_ranks[static_cast<size_t>(q)]) {
-          const size_t g = static_cast<size_t>(s) *
-                               static_cast<size_t>(num_threads_) +
-                           static_cast<size_t>(p);
-          const auto lo = static_cast<index_t>(group_ptr_[g]);
-          const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-          if (lo == hi) continue;
-          if (!plan.ranges.empty() &&
-              plan.range_ptr.back() !=
-                  static_cast<offset_t>(plan.ranges.size()) &&
-              plan.ranges.back().second == lo) {
-            plan.ranges.back().second = hi;  // merge adjacent runs
-          } else {
-            plan.ranges.emplace_back(lo, hi);
-          }
-        }
-        plan.range_ptr.push_back(static_cast<offset_t>(plan.ranges.size()));
-      }
-    }
-    return plan;
+    return foldRanges(full_, num_supersteps_, t, map);
   });
+}
+
+const detail::SlabPlan& ContiguousBspExecutor::slabPlan(
+    int team, core::FoldPolicy policy) const {
+  // The slab keeps the exact range walk order, so results stay bitwise
+  // identical to the range path.
+  return detail::cachedSlabPlan(
+      slabs_, lower_, num_threads_, team, policy,
+      [this](int t, core::FoldPolicy p) {
+        return rangeRowLists(foldedPlan(t, p));
+      });
+}
+
+template <typename Kernel>
+void ContiguousBspExecutor::walk(SolveContext& ctx, int team,
+                                 core::FoldPolicy policy, StorageKind storage,
+                                 std::size_t tiles, const Kernel& kernel,
+                                 const char* who) const {
+  detail::requireTeamSize(team, num_threads_, who);
+  ctx.requireShape(team, lower_.rows(), who);
+  if (storage == StorageKind::kSlab) {
+    detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
+                                 slabPlan(team, policy), tiles, kernel);
+  } else {
+    detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
+                                 foldedPlan(team, policy), tiles, kernel);
+  }
 }
 
 void ContiguousBspExecutor::solve(std::span<const double> b,
                                   std::span<double> x, SolveContext& ctx,
                                   int team, core::FoldPolicy policy,
                                   StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveSlab(b, x, ctx, team, policy);
-    return;
-  }
-  solve(b, x, ctx, team, policy);
-}
-
-void ContiguousBspExecutor::solveSlab(std::span<const double> b,
-                                      std::span<double> x, SolveContext& ctx,
-                                      int team,
-                                      core::FoldPolicy policy) const {
   requireVectorSizes(lower_, b, x, 1, "ContiguousBspExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "ContiguousBspExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "ContiguousBspExecutor::solve");
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowPacked(rec.cols, rec.vals, rec.nnz, rec.diag, b, x,
-                                 rec.row);
-      });
+  walk(ctx, team, policy, storage, 1, detail::RhsKernel(lower_, b, x),
+       "ContiguousBspExecutor::solve");
 }
 
 void ContiguousBspExecutor::solve(std::span<const double> b,
                                   std::span<double> x, SolveContext& ctx,
                                   int team, core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, 1, "ContiguousBspExecutor::solve");
-  detail::requireTeamSize(team, num_threads_, "ContiguousBspExecutor::solve");
-  ctx.requireShape(team, lower_.rows(), "ContiguousBspExecutor::solve");
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-  if (team == num_threads_) {
-    const int cores = num_threads_;
-#pragma omp parallel num_threads(cores)
-    {
-      const int t = omp_get_thread_num();
-      const ScopedPin pin(pin_set, t);
-      ctx.notePin(pin);
-      obs::StepTracer tracer(ctx.trace());
-      int sense = barrier.initialSense();
-      for (index_t s = 0; s < steps; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(cores) +
-                         static_cast<size_t>(t);
-        const auto lo = static_cast<index_t>(group_ptr_[g]);
-        const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-        for (index_t i = lo; i < hi; ++i) {
-          computeRow(row_ptr, col_idx, values, b, x, i);
-        }
-        // Superstep latency-spike failpoint (delay actions only; a throw
-        // escaping this omp region would terminate the process).
-        STS_FAILPOINT_RANK("exec.superstep", t);
-        tracer.computeDone(static_cast<std::uint64_t>(s));
-        if (sync) {
-          barrier.wait(sense, team);
-          tracer.waitDone(static_cast<std::uint64_t>(s));
-        }
-      }
-    }
-    return;
-  }
-
-  const FoldedRanges& plan = foldedPlan(team, policy);
-#pragma omp parallel num_threads(team)
-  {
-    const int t = omp_get_thread_num();
-    const ScopedPin pin(pin_set, t);
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    for (index_t s = 0; s < steps; ++s) {
-      const size_t g = static_cast<size_t>(s) * static_cast<size_t>(team) +
-                       static_cast<size_t>(t);
-      const auto begin = static_cast<size_t>(plan.range_ptr[g]);
-      const auto end = static_cast<size_t>(plan.range_ptr[g + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        const auto [lo, hi] = plan.ranges[k];
-        for (index_t i = lo; i < hi; ++i) {
-          computeRow(row_ptr, col_idx, values, b, x, i);
-        }
-      }
-      STS_FAILPOINT_RANK("exec.superstep", t);
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
+  solve(b, x, ctx, team, policy, StorageKind::kSharedCsr);
 }
 
 void ContiguousBspExecutor::solve(std::span<const double> b,
@@ -634,227 +282,17 @@ void ContiguousBspExecutor::solve(std::span<const double> b,
   solve(b, x, default_ctx_, num_threads_, core::FoldPolicy::kModulo);
 }
 
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int team,
-                                          core::FoldPolicy policy,
-                                          StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsSlab(b, x, nrhs, ctx, team, policy);
-    return;
-  }
-  solveMultiRhs(b, x, nrhs, ctx, team, policy);
-}
-
-void ContiguousBspExecutor::solveMultiRhsSlab(std::span<const double> b,
-                                              std::span<double> x,
-                                              index_t nrhs, SolveContext& ctx,
-                                              int team,
-                                              core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs,
-                     "ContiguousBspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_,
-                          "ContiguousBspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(),
-                   "ContiguousBspExecutor::solveMultiRhs");
-  const auto r = static_cast<size_t>(nrhs);
-  slabSuperstepRegion(
-      slabPlan(team, policy), num_supersteps_, team, ctx.pinnedCores(),
-      ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec) {
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      b, x, rec.row, r);
-      });
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int team,
-                                          core::FoldPolicy policy) const {
-  requireVectorSizes(lower_, b, x, nrhs,
-                     "ContiguousBspExecutor::solveMultiRhs");
-  detail::requireTeamSize(team, num_threads_,
-                          "ContiguousBspExecutor::solveMultiRhs");
-  ctx.requireShape(team, lower_.rows(),
-                   "ContiguousBspExecutor::solveMultiRhs");
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
-  const auto r = static_cast<size_t>(nrhs);
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-  if (team == num_threads_) {
-    const int cores = num_threads_;
-#pragma omp parallel num_threads(cores)
-    {
-      const int t = omp_get_thread_num();
-      const ScopedPin pin(pin_set, t);
-      ctx.notePin(pin);
-      obs::StepTracer tracer(ctx.trace());
-      int sense = barrier.initialSense();
-      for (index_t s = 0; s < steps; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(cores) +
-                         static_cast<size_t>(t);
-        const auto lo = static_cast<index_t>(group_ptr_[g]);
-        const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-        for (index_t i = lo; i < hi; ++i) {
-          computeRowMulti(row_ptr, col_idx, values, b, x, i, r);
-        }
-        tracer.computeDone(static_cast<std::uint64_t>(s));
-        if (sync) {
-          barrier.wait(sense, team);
-          tracer.waitDone(static_cast<std::uint64_t>(s));
-        }
-      }
-    }
-    return;
-  }
-
-  const FoldedRanges& plan = foldedPlan(team, policy);
-#pragma omp parallel num_threads(team)
-  {
-    const int t = omp_get_thread_num();
-    const ScopedPin pin(pin_set, t);
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    for (index_t s = 0; s < steps; ++s) {
-      const size_t g = static_cast<size_t>(s) * static_cast<size_t>(team) +
-                       static_cast<size_t>(t);
-      const auto begin = static_cast<size_t>(plan.range_ptr[g]);
-      const auto end = static_cast<size_t>(plan.range_ptr[g + 1]);
-      for (size_t k = begin; k < end; ++k) {
-        const auto [lo, hi] = plan.ranges[k];
-        for (index_t i = lo; i < hi; ++i) {
-          computeRowMulti(row_ptr, col_idx, values, b, x, i, r);
-        }
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
-void ContiguousBspExecutor::solveMultiRhsTiled(std::span<const double> b,
-                                               std::span<double> x,
-                                               const TileLayout& layout,
-                                               SolveContext& ctx, int team,
-                                               core::FoldPolicy policy,
-                                               StorageKind storage) const {
+void ContiguousBspExecutor::solveTiles(std::span<const double> b,
+                                       std::span<double> x,
+                                       const TileLayout& layout,
+                                       SolveContext& ctx, int team,
+                                       core::FoldPolicy policy,
+                                       StorageKind storage) const {
   requireTileShapes(lower_.rows(), layout, b, x,
-                    "ContiguousBspExecutor::solveMultiRhsTiled");
-  if (storage == StorageKind::kSlab) {
-    solveMultiRhsTiledSlab(b, x, layout, ctx, team, policy);
-    return;
-  }
-  detail::requireTeamSize(team, num_threads_,
-                          "ContiguousBspExecutor::solveMultiRhsTiled");
-  ctx.requireShape(team, lower_.rows(),
-                   "ContiguousBspExecutor::solveMultiRhsTiled");
-  const auto row_ptr = lower_.rowPtr();
-  const auto col_idx = lower_.colIdx();
-  const auto values = lower_.values();
-  const index_t steps = num_supersteps_;
-  const bool sync = team > 1;
+                    "ContiguousBspExecutor::solveTiles");
   const TileViews tiles = makeTileViews(layout, b, x);
-  const std::size_t ntiles = tiles.width.size();
-  const std::span<const int> pin_set = ctx.pinnedCores();
-  SpinBarrier& barrier = ctx.barrier_;
-
-  omp_set_dynamic(0);
-  if (team == num_threads_) {
-    const int cores = num_threads_;
-#pragma omp parallel num_threads(cores)
-    {
-      const int t = omp_get_thread_num();
-      const ScopedPin pin(pin_set, t);
-      ctx.notePin(pin);
-      obs::StepTracer tracer(ctx.trace());
-      int sense = barrier.initialSense();
-      for (index_t s = 0; s < steps; ++s) {
-        const size_t g = static_cast<size_t>(s) * static_cast<size_t>(cores) +
-                         static_cast<size_t>(t);
-        const auto lo = static_cast<index_t>(group_ptr_[g]);
-        const auto hi = static_cast<index_t>(group_ptr_[g + 1]);
-        for (std::size_t tk = 0; tk < ntiles; ++tk) {
-          const auto bt = tiles.b[tk];
-          const auto xt = tiles.x[tk];
-          const auto w = tiles.width[tk];
-          for (index_t i = lo; i < hi; ++i) {
-            detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt, i,
-                                         w);
-          }
-        }
-        tracer.computeDone(static_cast<std::uint64_t>(s));
-        if (sync) {
-          barrier.wait(sense, team);
-          tracer.waitDone(static_cast<std::uint64_t>(s));
-        }
-      }
-    }
-    return;
-  }
-
-  const FoldedRanges& plan = foldedPlan(team, policy);
-#pragma omp parallel num_threads(team)
-  {
-    const int t = omp_get_thread_num();
-    const ScopedPin pin(pin_set, t);
-    ctx.notePin(pin);
-    obs::StepTracer tracer(ctx.trace());
-    int sense = barrier.initialSense();
-    for (index_t s = 0; s < steps; ++s) {
-      const size_t g = static_cast<size_t>(s) * static_cast<size_t>(team) +
-                       static_cast<size_t>(t);
-      const auto begin = static_cast<size_t>(plan.range_ptr[g]);
-      const auto end = static_cast<size_t>(plan.range_ptr[g + 1]);
-      for (std::size_t tk = 0; tk < ntiles; ++tk) {
-        const auto bt = tiles.b[tk];
-        const auto xt = tiles.x[tk];
-        const auto w = tiles.width[tk];
-        for (size_t k = begin; k < end; ++k) {
-          const auto [lo, hi] = plan.ranges[k];
-          for (index_t i = lo; i < hi; ++i) {
-            detail::computeRowMultiTiled(row_ptr, col_idx, values, bt, xt, i,
-                                         w);
-          }
-        }
-      }
-      tracer.computeDone(static_cast<std::uint64_t>(s));
-      if (sync) {
-        barrier.wait(sense, team);
-        tracer.waitDone(static_cast<std::uint64_t>(s));
-      }
-    }
-  }
-}
-
-void ContiguousBspExecutor::solveMultiRhsTiledSlab(
-    std::span<const double> b, std::span<double> x, const TileLayout& layout,
-    SolveContext& ctx, int team, core::FoldPolicy policy) const {
-  detail::requireTeamSize(team, num_threads_,
-                          "ContiguousBspExecutor::solveMultiRhsTiled");
-  ctx.requireShape(team, lower_.rows(),
-                   "ContiguousBspExecutor::solveMultiRhsTiled");
-  const TileViews tiles = makeTileViews(layout, b, x);
-  slabSuperstepRegionTiled(
-      slabPlan(team, policy), num_supersteps_, layout.numTiles(), team,
-      ctx.pinnedCores(), ctx.barrier_, ctx.trace(),
-      [&ctx](const ScopedPin& pin) { ctx.notePin(pin); },
-      [&](const detail::SlabRecordView& rec, index_t tile) {
-        const auto tk = static_cast<std::size_t>(tile);
-        detail::computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                                      tiles.b[tk], tiles.x[tk], rec.row,
-                                      tiles.width[tk]);
-      });
+  walk(ctx, team, policy, storage, tiles.width.size(),
+       detail::TileKernel(lower_, tiles), "ContiguousBspExecutor::solveTiles");
 }
 
 std::size_t ContiguousBspExecutor::storageBytesMoved(
@@ -863,25 +301,6 @@ std::size_t ContiguousBspExecutor::storageBytesMoved(
     return detail::slabBytesMoved(slabPlan(team, policy));
   }
   return csrBytesMoved(lower_.rows(), lower_.nnz());
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int team) const {
-  solveMultiRhs(b, x, nrhs, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx) const {
-  solveMultiRhs(b, x, nrhs, ctx, num_threads_, core::FoldPolicy::kModulo);
-}
-
-void ContiguousBspExecutor::solveMultiRhs(std::span<const double> b,
-                                          std::span<double> x,
-                                          index_t nrhs) const {
-  solveMultiRhs(b, x, nrhs, default_ctx_, num_threads_,
-                core::FoldPolicy::kModulo);
 }
 
 }  // namespace sts::exec

@@ -38,6 +38,10 @@
 /// streams per-thread packed row records (slab.hpp) built lazily per
 /// (team, policy) and cached beside the folded lists. Both layouts run
 /// the identical arithmetic, so storage never changes results.
+///
+/// Both executors run every solve through the one barrier-per-superstep
+/// walk of walk.hpp; only the plan (row lists or row ranges, or their
+/// slabs) and the row kernel (one RHS or one RHS column tile) differ.
 
 namespace sts::exec {
 
@@ -72,32 +76,15 @@ class BspExecutor {
   /// Convenience overload on the built-in context (one solve at a time).
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// SpTRSM: X = L^{-1} B, both n x nrhs row-major. The schedule is
-  /// RHS-count agnostic — each vertex simply carries nrhs times the work,
-  /// so the barrier cost is amortized across the nrhs solves.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy, StorageKind storage) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs) const;
-
-  /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp).
-  /// One parallel region runs the per-superstep row loop once per tile —
-  /// still one barrier per superstep regardless of tile count, and the CSR
-  /// walk gains the register-blocked kernel (computeRowMultiTiled). Column
-  /// tileBegin(t) + c of the unpacked result is bitwise equal to
-  /// solveMultiRhs's column.
-  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
-                          const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy,
-                          StorageKind storage) const;
+  /// Tiled SpTRSM: X = L^{-1} B with B and X packed as `layout` column
+  /// tiles (tile.hpp; a single tile is the row-major n x nrhs matrix).
+  /// Each superstep runs its rows once per tile before the barrier — one
+  /// barrier per superstep regardless of tile count — so every column is
+  /// bitwise equal to solve() on that column. The schedule is RHS-count
+  /// agnostic: each vertex simply carries nrhs times the work.
+  void solveTiles(std::span<const double> b, std::span<double> x,
+                  const TileLayout& layout, SolveContext& ctx, int team,
+                  core::FoldPolicy policy, StorageKind storage) const;
 
   /// Matrix bytes one full sweep of `storage` streams (builds the slab
   /// plan on demand); the plans' side of the roofline byte model.
@@ -120,14 +107,12 @@ class BspExecutor {
   /// The packed per-thread slab storage for (team, policy), built lazily
   /// from the folded lists and cached beside them.
   const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
-  void solveSlab(std::span<const double> b, std::span<double> x,
-                 SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solveMultiRhsSlab(std::span<const double> b, std::span<double> x,
-                         index_t nrhs, SolveContext& ctx, int team,
-                         core::FoldPolicy policy) const;
-  void solveMultiRhsTiledSlab(std::span<const double> b, std::span<double> x,
-                              const TileLayout& layout, SolveContext& ctx,
-                              int team, core::FoldPolicy policy) const;
+  /// Checks (team, ctx) and runs the superstep walk of `kernel` over the
+  /// (team, policy) plan in `storage`, `tiles` passes per superstep.
+  template <typename Kernel>
+  void walk(SolveContext& ctx, int team, core::FoldPolicy policy,
+            StorageKind storage, std::size_t tiles, const Kernel& kernel,
+            const char* who) const;
 
   const CsrMatrix& lower_;
   int num_threads_ = 0;
@@ -170,28 +155,11 @@ class ContiguousBspExecutor {
              SolveContext& ctx) const;
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// SpTRSM over the contiguous row ranges: X = L^{-1} B, n x nrhs
-  /// row-major, one barrier per superstep regardless of nrhs.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy, StorageKind storage) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs) const;
-
   /// Tiled SpTRSM over the contiguous row ranges: same contract as
-  /// BspExecutor::solveMultiRhsTiled (one barrier per superstep, tile loop
-  /// inside, bitwise per column).
-  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
-                          const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy,
-                          StorageKind storage) const;
+  /// BspExecutor::solveTiles.
+  void solveTiles(std::span<const double> b, std::span<double> x,
+                  const TileLayout& layout, SolveContext& ctx, int team,
+                  core::FoldPolicy policy, StorageKind storage) const;
 
   /// Matrix bytes one full sweep of `storage` streams (builds the slab
   /// plan on demand); the plans' side of the roofline byte model.
@@ -206,38 +174,32 @@ class ContiguousBspExecutor {
   index_t numSupersteps() const { return num_supersteps_; }
 
  private:
-  /// Folded plan for team < numThreads(): folded thread q's superstep-s
-  /// work is a short list of contiguous row runs (one per surviving
-  /// original rank, adjacent runs merged). Must implement the same rank
-  /// map and concatenation order as Schedule::foldWith / foldThreadLists —
+  /// Folded plan for (team, policy): folded thread q's superstep-s work
+  /// is a short list of contiguous row runs (one per surviving original
+  /// rank, adjacent runs merged). Must implement the same rank map and
+  /// concatenation order as Schedule::foldWith / foldThreadLists —
   /// test_elastic pins the implementations to each other.
-  struct FoldedRanges {
-    /// Runs of group (s, q) are ranges[range_ptr[s * team + q] ..
-    /// range_ptr[s * team + q + 1]).
-    std::vector<offset_t> range_ptr;
-    std::vector<std::pair<index_t, index_t>> ranges;  ///< [lo, hi) rows
-  };
-  const FoldedRanges& foldedPlan(int team, core::FoldPolicy policy) const;
+  const detail::FoldedRanges& foldedPlan(int team,
+                                         core::FoldPolicy policy) const;
   /// Slab storage for (team, policy): the row ranges materialized as
   /// per-thread packed record streams (identical row order).
   const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
-  void solveSlab(std::span<const double> b, std::span<double> x,
-                 SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solveMultiRhsSlab(std::span<const double> b, std::span<double> x,
-                         index_t nrhs, SolveContext& ctx, int team,
-                         core::FoldPolicy policy) const;
-  void solveMultiRhsTiledSlab(std::span<const double> b, std::span<double> x,
-                              const TileLayout& layout, SolveContext& ctx,
-                              int team, core::FoldPolicy policy) const;
+  /// Same contract as BspExecutor::walk.
+  template <typename Kernel>
+  void walk(SolveContext& ctx, int team, core::FoldPolicy policy,
+            StorageKind storage, std::size_t tiles, const Kernel& kernel,
+            const char* who) const;
 
   const CsrMatrix& lower_;
   index_t num_supersteps_ = 0;
   int num_threads_ = 0;
-  std::vector<offset_t> group_ptr_;
+  /// The full-width plan: one run per non-empty group; also the shared
+  /// team == numThreads() plan.
+  detail::FoldedRanges full_;
   /// Per-(superstep, rank) nnz loads of the row ranges (superstep-major);
   /// feeds the kBinPack rank maps.
   std::vector<core::weight_t> rank_loads_;
-  detail::TeamPlanCache<FoldedRanges> folded_;
+  detail::TeamPlanCache<detail::FoldedRanges> folded_;
   detail::TeamPlanCache<detail::SlabPlan> slabs_;
   mutable SolveContext default_ctx_;
 };

@@ -4,6 +4,24 @@
 
 namespace sts::exec::detail {
 
+FoldedLists listsFromSchedule(const core::Schedule& schedule) {
+  const auto cores = static_cast<std::size_t>(schedule.numCores());
+  FoldedLists lists;
+  lists.verts.resize(cores);
+  lists.step_ptr.resize(cores);
+  for (std::size_t t = 0; t < cores; ++t) {
+    auto& verts = lists.verts[t];
+    auto& ptr = lists.step_ptr[t];
+    ptr.push_back(0);
+    for (sts::index_t s = 0; s < schedule.numSupersteps(); ++s) {
+      const auto group = schedule.group(s, static_cast<int>(t));
+      verts.insert(verts.end(), group.begin(), group.end());
+      ptr.push_back(static_cast<sts::offset_t>(verts.size()));
+    }
+  }
+  return lists;
+}
+
 FoldedLists foldThreadLists(
     const std::vector<std::vector<sts::index_t>>& verts,
     const std::vector<std::vector<sts::offset_t>>& step_ptr,

@@ -5,6 +5,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/sync.hpp"
@@ -27,6 +28,19 @@ namespace sts::exec::detail {
 /// verts[t] holds thread t's vertices with step boundaries step_ptr[t][s].
 struct FoldedLists {
   std::vector<std::vector<sts::index_t>> verts;
+  std::vector<std::vector<sts::offset_t>> step_ptr;
+};
+
+/// THE work-list builder: core t's groups of `schedule` concatenated in
+/// superstep order, one list per core (width schedule.numCores()). Every
+/// schedule-driven executor starts from these full-width lists.
+FoldedLists listsFromSchedule(const core::Schedule& schedule);
+
+/// Contiguous-row work lists (ContiguousBspExecutor), the FoldedLists
+/// shape with [lo, hi) row runs in place of single rows: thread t's
+/// superstep-s runs are runs[t][step_ptr[t][s] .. step_ptr[t][s + 1]).
+struct FoldedRanges {
+  std::vector<std::vector<std::pair<sts::index_t, sts::index_t>>> runs;
   std::vector<std::vector<sts::offset_t>> step_ptr;
 };
 

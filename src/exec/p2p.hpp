@@ -16,11 +16,12 @@
 /// \file p2p.hpp
 /// Asynchronous point-to-point executor in the style of SpMP [PSSD14]:
 /// no global barriers — each thread walks its own vertex list in level
-/// order and spin-waits only on the cross-thread parents that survive the
-/// approximate transitive reduction. Completion flags are epoch-stamped so
-/// that repeated solves need no O(n) reset; on uint32 epoch wraparound the
-/// SolveContext clears the flags so a stale stamp can never alias a fresh
-/// epoch.
+/// order and waits only on the cross-thread parents that survive the
+/// approximate transitive reduction (spinning, then yielding every 4096
+/// spins so a descheduled producer is not starved — spinUntil).
+/// Completion flags are epoch-stamped so that repeated solves need no O(n)
+/// reset; on uint32 epoch wraparound the SolveContext clears the flags so
+/// a stale stamp can never alias a fresh epoch.
 ///
 /// Reentrancy contract (see solve_context.hpp): the executor is immutable
 /// after construction; the epoch counter and completion flags live in the
@@ -70,32 +71,15 @@ class P2pExecutor {
              SolveContext& ctx) const;
   void solve(std::span<const double> b, std::span<double> x) const;
 
-  /// SpTRSM: X = L^{-1} B, both n x nrhs row-major; one completion-flag
-  /// store per vertex regardless of nrhs.
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy, StorageKind storage) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int team) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs) const;
-
-  /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp).
-  /// The completion flags are epoch-granular — they cannot express "row i
-  /// done for tile t" — so the executor runs one full dependency-resolved
-  /// pass per tile, each under a fresh epoch. That trades extra flag
-  /// traffic for the cache-resident tile operand and the register-blocked
-  /// CSR kernel; column tileBegin(t) + c of the unpacked result is bitwise
-  /// equal to solveMultiRhs's column.
-  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
-                          const TileLayout& layout, SolveContext& ctx,
-                          int team, core::FoldPolicy policy,
-                          StorageKind storage) const;
+  /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp;
+  /// a single tile is the row-major n x nrhs matrix). The completion flags
+  /// are epoch-granular — they cannot express "row i done for tile t" — so
+  /// the executor runs one full dependency-resolved pass per tile, each
+  /// under a fresh epoch. Every column is bitwise equal to solve() on that
+  /// column.
+  void solveTiles(std::span<const double> b, std::span<double> x,
+                  const TileLayout& layout, SolveContext& ctx, int team,
+                  core::FoldPolicy policy, StorageKind storage) const;
 
   /// Matrix bytes one full sweep of `storage` streams (builds the slab
   /// plan on demand); the plans' side of the roofline byte model. The
@@ -120,18 +104,12 @@ class P2pExecutor {
   /// Packed per-thread slab storage for (team, policy), cached beside the
   /// folded vertex lists.
   const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
-  void solveSlab(std::span<const double> b, std::span<double> x,
-                 SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solveMultiRhsSlab(std::span<const double> b, std::span<double> x,
-                         index_t nrhs, SolveContext& ctx, int team,
-                         core::FoldPolicy policy) const;
-  /// One dependency-resolved shared-CSR pass over a single n x w tile
-  /// under a fresh epoch (the register-blocked per-tile leg of
-  /// solveMultiRhsTiled).
-  void solveTileCsrPass(std::span<const double> b_tile,
-                        std::span<double> x_tile, std::size_t w,
-                        SolveContext& ctx, int team,
-                        core::FoldPolicy policy) const;
+  /// Checks (team, ctx) and runs one P2P walk of `kernel` on RHS tile
+  /// `tile` over the (team, policy) plan in `storage`.
+  template <typename Kernel>
+  void walk(SolveContext& ctx, int team, core::FoldPolicy policy,
+            StorageKind storage, std::size_t tile, const Kernel& kernel,
+            const char* who) const;
 
   const CsrMatrix& lower_;
   int num_threads_ = 0;

@@ -14,18 +14,19 @@
 /// executors run literally this arithmetic sequence — a divergent copy
 /// would break it silently.
 ///
-/// Two kernel families share that sequence:
-///   * computeRow / computeRowMulti — the CSR forms, indexing the shared
-///     matrix through row_ptr (the StorageKind::kSharedCsr walk);
-///   * computeRowPacked / computeRowMultiPacked — raw-pointer forms over a
-///     row's packed off-diagonal cols/vals + diagonal (the
-///     StorageKind::kSlab walk; see slab.hpp). The multi-RHS form is
-///     VECTORIZED ACROSS RHS COLUMNS in fixed-width register blocks
-///     (r = 8, then 4, then a variable tail). Blocking the column loop
-///     never reorders any single column's floating-point operations —
-///     column c still runs init, the same subtractions in the same order,
-///     then one divide — so the bitwise contract survives vectorization
-///     (tests/test_slab.cpp pins packed == CSR for every executor).
+/// Per row and RHS column the sequence is: init from b, subtract the
+/// off-diagonal terms in CSR order, one divide by the diagonal. The forms:
+///   * computeRow — one RHS on the shared CSR, indexed through row_ptr
+///     (the StorageKind::kSharedCsr walk);
+///   * computeRowPacked — one RHS on a row's packed off-diagonal cols/vals
+///     + diagonal (the StorageKind::kSlab walk; see slab.hpp);
+///   * computeRowMultiPacked / computeRowMultiTiled — one n x r RHS tile
+///     (tile.hpp) on a packed or CSR row, VECTORIZED ACROSS RHS COLUMNS in
+///     fixed-width register blocks (r = 8, then 4, then a variable tail).
+///     Blocking the column loop never reorders any single column's
+///     floating-point operations, so column c is bitwise equal to a
+///     single-RHS solve of that column (tests/test_slab.cpp and
+///     tests/test_tiled.cpp pin this for every executor).
 
 namespace sts::exec::detail {
 
@@ -42,28 +43,6 @@ inline void computeRow(std::span<const offset_t> row_ptr,
     acc -= values[k] * x[static_cast<size_t>(col_idx[k])];
   }
   x[static_cast<size_t>(i)] = acc / values[diag];
-}
-
-/// Multi-RHS substitution step: row i of X and B are contiguous length-r
-/// blocks. Per RHS the arithmetic sequence is identical to computeRow, so
-/// each column of the result is bitwise equal to a single-RHS solve.
-inline void computeRowMulti(std::span<const offset_t> row_ptr,
-                            std::span<const index_t> col_idx,
-                            std::span<const double> values,
-                            std::span<const double> b, std::span<double> x,
-                            index_t i, size_t r) {
-  const auto begin = static_cast<size_t>(row_ptr[static_cast<size_t>(i)]);
-  const auto diag = static_cast<size_t>(row_ptr[static_cast<size_t>(i) + 1]) - 1;
-  double* xi = x.data() + static_cast<size_t>(i) * r;
-  const double* bi = b.data() + static_cast<size_t>(i) * r;
-  for (size_t c = 0; c < r; ++c) xi[c] = bi[c];
-  for (size_t e = begin; e < diag; ++e) {
-    const double a = values[e];
-    const double* xj = x.data() + static_cast<size_t>(col_idx[e]) * r;
-    for (size_t c = 0; c < r; ++c) xi[c] -= a * xj[c];
-  }
-  const double d = values[diag];
-  for (size_t c = 0; c < r; ++c) xi[c] /= d;
 }
 
 /// Packed-row form of computeRow: `cols`/`vals` are the row's nnz
@@ -85,7 +64,7 @@ inline void computeRowPacked(const index_t* cols, const double* vals,
 /// rows i of B/X and `x_blk` at column c0 of X's row 0 (leading dimension
 /// r). The accumulators live in registers and the column loops are
 /// SIMD-width R, which is the entire point of blocking; per column the
-/// operation sequence matches computeRowMulti exactly.
+/// operation sequence matches computeRow exactly.
 template <std::size_t R>
 inline void computeRowMultiPackedFixed(const index_t* cols,
                                        const double* vals, std::size_t nnz,
@@ -106,9 +85,9 @@ inline void computeRowMultiPackedFixed(const index_t* cols,
 }
 
 /// Packed multi-RHS substitution step, vectorized across the RHS columns:
-/// register blocks of 8, then 4, then a variable tail running the
-/// computeRowMulti loop shape on the remaining columns. Column c of the
-/// result is bitwise equal to computeRowMulti's column c for every r.
+/// register blocks of 8, then 4, then a variable tail on the remaining
+/// columns. Column c of the result is bitwise equal to computeRow on
+/// column c for every r.
 inline void computeRowMultiPacked(const index_t* cols, const double* vals,
                                   std::size_t nnz, double diag,
                                   std::span<const double> b,
@@ -126,8 +105,7 @@ inline void computeRowMultiPacked(const index_t* cols, const double* vals,
                                   x.data() + c, r);
   }
   if (c == r) return;
-  // Variable tail (r mod 4 columns): computeRowMulti's exact loop,
-  // restricted to columns [c, r).
+  // Variable tail (r mod 4 columns), columns [c, r).
   for (std::size_t cc = c; cc < r; ++cc) xi[cc] = bi[cc];
   for (std::size_t e = 0; e < nnz; ++e) {
     const double a = vals[e];
@@ -143,8 +121,8 @@ inline void computeRowMultiPacked(const index_t* cols, const double* vals,
 /// register-blocked packed kernel on it — the shared-CSR analogue of the
 /// slab walk's computeRowMultiPacked, giving the CSR tile loop the same
 /// across-column vectorization. Column c of the tile is bitwise equal to
-/// computeRowMulti's column tileBegin + c because blocking never reorders
-/// a single column's operations (the file-top contract).
+/// the single-RHS solve of column tileBegin + c because blocking never
+/// reorders a single column's operations (the file-top contract).
 inline void computeRowMultiTiled(std::span<const offset_t> row_ptr,
                                  std::span<const index_t> col_idx,
                                  std::span<const double> values,
@@ -210,8 +188,9 @@ inline void computeRowSsp(std::span<const offset_t> row_ptr,
   x[static_cast<size_t>(i)] = acc / values[diag];
 }
 
-/// computeRowMulti with the SSP guard (the whole entry is dropped, so
-/// every RHS column sees the same sparsified operator).
+/// The SSP guard on an n x r row-major RHS block (the whole entry is
+/// dropped, so every RHS column sees the same sparsified operator); per
+/// column the arithmetic of computeRowSsp.
 inline void computeRowMultiSsp(std::span<const offset_t> row_ptr,
                                std::span<const index_t> col_idx,
                                std::span<const double> values,
@@ -250,7 +229,7 @@ inline void computeRowPackedSsp(const index_t* cols, const double* vals,
   x[static_cast<size_t>(i)] = acc / diag;
 }
 
-/// computeRowMultiPacked with the SSP guard. Runs the computeRowMulti
+/// computeRowMultiPacked with the SSP guard. Runs the computeRowMultiSsp
 /// loop shape rather than the register-blocked one: per RHS column the
 /// operation sequence is identical either way (the blocking contract at
 /// the top of this file), so column c stays bitwise equal to the exact

@@ -8,6 +8,7 @@
 
 #include "exec/elastic.hpp"
 #include "exec/storage.hpp"
+#include "obs/trace.hpp"
 #include "sparse/csr.hpp"
 
 /// \file slab.hpp
@@ -139,59 +140,73 @@ struct SlabPlan {
 SlabPlan buildSlabPlan(const sparse::CsrMatrix& lower,
                        const FoldedLists& lists);
 
-/// THE slab walk, shared by every executor's slab path so the hot loop
-/// cannot diverge between them (the same single-definition argument as
-/// row_kernels.hpp): streams `slab` in record order, prefetching each
-/// next record, calling `row(rec)` per record and `end_step()` after
-/// each superstep's records (BSP passes its barrier wait; P2P, whose
-/// walk ignores superstep boundaries, passes a no-op).
-template <typename RowFn, typename EndStepFn>
-inline void forEachSlabRecord(const SlabThread& slab, sts::index_t num_steps,
-                              RowFn&& row, EndStepFn&& end_step) {
-  const std::byte* p = slab.bytes.data();
-  const auto& ptr = slab.step_ptr;
-  for (sts::index_t s = 0; s < num_steps; ++s) {
+/// The slab plan for (team, policy) of a `width`-thread executor, packed
+/// from the row lists `lists(team, policy)` on first use and cached in
+/// `cache`. The full-width plan is policy-invariant (folding onto the full
+/// width merges nothing), so one slab serves every policy slot there
+/// instead of the matrix being packed once per policy.
+template <typename ListsFn>
+const SlabPlan& cachedSlabPlan(const TeamPlanCache<SlabPlan>& cache,
+                               const sparse::CsrMatrix& lower, int width,
+                               int team, core::FoldPolicy policy,
+                               ListsFn&& lists) {
+  const auto build = [&](int t, core::FoldPolicy p) {
+    STS_TRACE_SPAN1("plan", "slab_build", "team", t);
+    return buildSlabPlan(lower, lists(t, p));
+  };
+  if (team == width) {
+    return cache.getPolicyShared(
+        team, [&](int t) { return build(t, core::FoldPolicy::kModulo); });
+  }
+  return cache.get(team, policy, build);
+}
+
+/// THE slab stream, shared by every slab walk so the hot loop cannot
+/// diverge between executors (the same single-definition argument as
+/// row_kernels.hpp): one thread's cursor over its records in stream order,
+/// prefetching each next record. forEach(s, row) calls `row(rec)` for
+/// every record of superstep s and may run again on the same superstep
+/// (the tiled walk replays a superstep's records once per RHS column tile
+/// — the matrix bytes re-stream while the dense tile stays cache-resident);
+/// endStep() then moves the cursor to the next superstep's records.
+class SlabStream {
+ public:
+  explicit SlabStream(const SlabThread& slab)
+      : ptr_(slab.step_ptr.data()), step_begin_(slab.bytes.data()),
+        step_end_(step_begin_) {}
+
+  template <typename RowFn>
+  void forEach(sts::index_t s, RowFn&& row) {
     const auto count =
-        static_cast<std::size_t>(ptr[static_cast<std::size_t>(s) + 1] -
-                                 ptr[static_cast<std::size_t>(s)]);
+        static_cast<std::size_t>(ptr_[static_cast<std::size_t>(s) + 1] -
+                                 ptr_[static_cast<std::size_t>(s)]);
+    const std::byte* p = step_begin_;
     for (std::size_t k = 0; k < count; ++k) {
       const SlabRecordView rec = slabRecordAt(p);
       STS_SLAB_PREFETCH(rec.next);
       row(rec);
       p = rec.next;
     }
-    end_step();
+    step_end_ = p;
   }
-}
 
-/// The tiled slab walk: like forEachSlabRecord, but each superstep's
-/// record run is replayed once per RHS column tile (`row(rec, tile)`)
-/// before the superstep ends. The replay rewinds the stream pointer to
-/// the superstep's first record, so the matrix bytes are re-streamed per
-/// tile while the dense tile stays cache-resident — the tiling trade
-/// (tile.hpp). Record order within a tile is identical to the untiled
-/// walk, so the bitwise contract carries over per tile.
+  void endStep() { step_begin_ = step_end_; }
+
+ private:
+  const sts::offset_t* ptr_;
+  const std::byte* step_begin_;
+  const std::byte* step_end_;
+};
+
+/// Streams `slab` superstep by superstep, calling `row(rec)` per record
+/// and `end_step()` after each superstep's records.
 template <typename RowFn, typename EndStepFn>
-inline void forEachSlabRecordTiled(const SlabThread& slab,
-                                   sts::index_t num_steps,
-                                   sts::index_t num_tiles, RowFn&& row,
-                                   EndStepFn&& end_step) {
-  const std::byte* p = slab.bytes.data();
-  const auto& ptr = slab.step_ptr;
+inline void forEachSlabRecord(const SlabThread& slab, sts::index_t num_steps,
+                              RowFn&& row, EndStepFn&& end_step) {
+  SlabStream stream(slab);
   for (sts::index_t s = 0; s < num_steps; ++s) {
-    const auto count =
-        static_cast<std::size_t>(ptr[static_cast<std::size_t>(s) + 1] -
-                                 ptr[static_cast<std::size_t>(s)]);
-    const std::byte* const step_begin = p;
-    for (sts::index_t tile = 0; tile < num_tiles; ++tile) {
-      p = step_begin;
-      for (std::size_t k = 0; k < count; ++k) {
-        const SlabRecordView rec = slabRecordAt(p);
-        STS_SLAB_PREFETCH(rec.next);
-        row(rec, tile);
-        p = rec.next;
-      }
-    }
+    stream.forEach(s, row);
+    stream.endStep();
     end_step();
   }
 }

@@ -58,6 +58,9 @@ class P2pExecutor;
 class ScopedPin;
 class SspExecutor;
 class TriangularSolver;
+namespace detail {
+struct TeamWalk;
+}  // namespace detail
 
 class SolveContext {
  public:
@@ -113,6 +116,7 @@ class SolveContext {
   friend class P2pExecutor;
   friend class SspExecutor;
   friend class TriangularSolver;
+  friend struct detail::TeamWalk;
   friend class ::SolveContextTestPeer;  ///< epoch-wraparound tests only
 
   /// Throws std::invalid_argument unless this context can host a solve of

@@ -241,31 +241,38 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
     throw std::invalid_argument(
         "TriangularSolver::solveMultiRhs: size mismatch");
   }
-  const int team = clampTeam(threads);
+  if (nrhs == 1) {
+    solve(b, x, ctx, threads, policy, storage);
+    return;
+  }
+  const TileLayout layout = tileLayout(nrhs);
   const auto r = static_cast<size_t>(nrhs);
-  std::span<const double> b_in = b;
-  std::span<double> x_out = x;
-  if (permuted_) {
-    auto b_perm = ctx.bScratch(n * r);
-    auto x_perm = ctx.xScratch(n * r);
+  auto b_tiled = ctx.bScratch(n * r);
+  auto x_tiled = ctx.xScratch(n * r);
+  // Fused permute + pack: one pass builds each tile directly from the
+  // original-order rows (identity permutation when not reordered).
+  for (index_t t = 0; t < layout.numTiles(); ++t) {
+    const auto w = static_cast<size_t>(layout.tileWidth(t));
+    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
+    double* dst = b_tiled.data() + layout.tileOffset(t);
     for (size_t i = 0; i < n; ++i) {
-      const auto old = static_cast<size_t>(total_new_to_old_[i]);
-      for (size_t c = 0; c < r; ++c) b_perm[i * r + c] = b[old * r + c];
+      const auto row =
+          permuted_ ? static_cast<size_t>(total_new_to_old_[i]) : i;
+      const double* src = b.data() + row * r + c0;
+      for (size_t c = 0; c < w; ++c) dst[i * w + c] = src[c];
     }
-    b_in = b_perm;
-    x_out = x_perm;
   }
-  if (contiguous_) {
-    contiguous_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
-  } else if (p2p_) {
-    p2p_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
-  } else {
-    bsp_->solveMultiRhs(b_in, x_out, nrhs, ctx, team, policy, storage);
-  }
-  if (permuted_) {
+  solveTiles(b_tiled, x_tiled, layout, ctx, threads, policy, storage);
+  // Fused unpack + unpermute.
+  for (index_t t = 0; t < layout.numTiles(); ++t) {
+    const auto w = static_cast<size_t>(layout.tileWidth(t));
+    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
+    const double* src = x_tiled.data() + layout.tileOffset(t);
     for (size_t i = 0; i < n; ++i) {
-      const auto old = static_cast<size_t>(total_new_to_old_[i]);
-      for (size_t c = 0; c < r; ++c) x[old * r + c] = x_out[i * r + c];
+      const auto row =
+          permuted_ ? static_cast<size_t>(total_new_to_old_[i]) : i;
+      double* dst = x.data() + row * r + c0;
+      for (size_t c = 0; c < w; ++c) dst[c] = src[i * w + c];
     }
   }
 }
@@ -377,57 +384,6 @@ TileLayout TriangularSolver::tileLayout(index_t nrhs,
   return TileLayout(n_, nrhs, width);
 }
 
-void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx, int threads,
-                                          core::FoldPolicy policy,
-                                          StorageKind storage) const {
-  const auto n = static_cast<size_t>(n_);
-  if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
-      x.size() != b.size()) {
-    throw std::invalid_argument(
-        "TriangularSolver::solveMultiRhsTiled: size mismatch");
-  }
-  const int team = clampTeam(threads);
-  const TileLayout layout = tileLayout(nrhs);
-  const auto r = static_cast<size_t>(nrhs);
-  auto b_tiled = ctx.bScratch(n * r);
-  auto x_tiled = ctx.xScratch(n * r);
-  // Fused permute + pack: one pass builds each tile directly from the
-  // original-order rows (identity permutation when not reordered).
-  for (index_t t = 0; t < layout.numTiles(); ++t) {
-    const auto w = static_cast<size_t>(layout.tileWidth(t));
-    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
-    double* dst = b_tiled.data() + layout.tileOffset(t);
-    for (size_t i = 0; i < n; ++i) {
-      const auto row =
-          permuted_ ? static_cast<size_t>(total_new_to_old_[i]) : i;
-      const double* src = b.data() + row * r + c0;
-      for (size_t c = 0; c < w; ++c) dst[i * w + c] = src[c];
-    }
-  }
-  solveTiles(b_tiled, x_tiled, layout, ctx, team, policy, storage);
-  // Fused unpack + unpermute.
-  for (index_t t = 0; t < layout.numTiles(); ++t) {
-    const auto w = static_cast<size_t>(layout.tileWidth(t));
-    const auto c0 = static_cast<size_t>(layout.tileBegin(t));
-    const double* src = x_tiled.data() + layout.tileOffset(t);
-    for (size_t i = 0; i < n; ++i) {
-      const auto row =
-          permuted_ ? static_cast<size_t>(total_new_to_old_[i]) : i;
-      double* dst = x.data() + row * r + c0;
-      for (size_t c = 0; c < w; ++c) dst[c] = src[i * w + c];
-    }
-  }
-}
-
-void TriangularSolver::solveMultiRhsTiled(std::span<const double> b,
-                                          std::span<double> x, index_t nrhs,
-                                          SolveContext& ctx) const {
-  solveMultiRhsTiled(b, x, nrhs, ctx, default_team_, options_.fold_policy,
-                     options_.storage);
-}
-
 void TriangularSolver::solveTiles(std::span<const double> b_tiled,
                                   std::span<double> x_tiled,
                                   const TileLayout& layout, SolveContext& ctx,
@@ -435,14 +391,12 @@ void TriangularSolver::solveTiles(std::span<const double> b_tiled,
                                   StorageKind storage) const {
   const int team = clampTeam(threads);
   if (contiguous_) {
-    contiguous_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team,
-                                    policy, storage);
+    contiguous_->solveTiles(b_tiled, x_tiled, layout, ctx, team, policy,
+                            storage);
   } else if (p2p_) {
-    p2p_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy,
-                             storage);
+    p2p_->solveTiles(b_tiled, x_tiled, layout, ctx, team, policy, storage);
   } else {
-    bsp_->solveMultiRhsTiled(b_tiled, x_tiled, layout, ctx, team, policy,
-                             storage);
+    bsp_->solveTiles(b_tiled, x_tiled, layout, ctx, team, policy, storage);
   }
 }
 

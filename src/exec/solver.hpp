@@ -178,7 +178,9 @@ class TriangularSolver {
   /// the ORIGINAL row ordering. One schedule traversal serves all nrhs
   /// solves, amortizing every barrier/flag crossing (Table 7.7's
   /// block-parallel idea); column c of X is bitwise equal to solve() on
-  /// column c of B.
+  /// column c of B. The solve runs on the cache-sized column tiles of
+  /// tileLayout(nrhs), with the permutation and the tile packing fused
+  /// into one pass each way; nrhs == 1 is solve() itself.
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs, SolveContext& ctx, int threads,
                      core::FoldPolicy policy, StorageKind storage) const;
@@ -217,17 +219,6 @@ class TriangularSolver {
                                       std::span<double> x, index_t nrhs,
                                       const SspOptions& opts,
                                       SolveContext& ctx) const;
-
-  /// Tiled SpTRSM: like solveMultiRhs (row-major n x nrhs in the ORIGINAL
-  /// ordering, bitwise-identical columns) but the solve runs on the
-  /// cache-sized column tiles of tileLayout(nrhs) — the permutation and the
-  /// tile packing are fused into one pass each way, so tiling adds no
-  /// traversal beyond what the permuted path already paid.
-  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
-                          index_t nrhs, SolveContext& ctx, int threads,
-                          core::FoldPolicy policy, StorageKind storage) const;
-  void solveMultiRhsTiled(std::span<const double> b, std::span<double> x,
-                          index_t nrhs, SolveContext& ctx) const;
 
   /// Tiled SpTRSM on PRE-TILED, PRE-PERMUTED buffers: b and x are packed as
   /// `layout` column tiles (layout.rows() == numRows()) in the INTERNAL row

@@ -12,6 +12,22 @@
 
 namespace sts::exec {
 
+/// Spins until `ready()` holds, yielding the CPU every 4096 spins. The one
+/// wait policy of every solve-path wait (the barrier below and the P2P
+/// walker's dependency flags): a waiter whose producer was descheduled —
+/// an oversubscribed team, or a team pinned onto fewer CPUs than it has
+/// members — hands the CPU back instead of burning the producer's slice.
+template <typename ReadyFn>
+inline void spinUntil(ReadyFn&& ready) {
+  int spins = 0;
+  while (!ready()) {
+    if (++spins >= 4096) {
+      std::this_thread::yield();
+      spins = 0;
+    }
+  }
+}
+
 class SpinBarrier {
  public:
   explicit SpinBarrier(int num_threads) : num_threads_(num_threads) {}
@@ -36,13 +52,8 @@ class SpinBarrier {
       arrived_.store(0, std::memory_order_relaxed);
       sense_.store(next, std::memory_order_release);
     } else {
-      int spins = 0;
-      while (sense_.load(std::memory_order_acquire) != next) {
-        if (++spins >= 4096) {
-          std::this_thread::yield();  // oversubscription fallback
-          spins = 0;
-        }
-      }
+      spinUntil(
+          [&] { return sense_.load(std::memory_order_acquire) == next; });
     }
     local_sense = next;
   }

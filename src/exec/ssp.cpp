@@ -18,27 +18,6 @@ namespace sts::exec {
 
 namespace {
 
-/// Work lists materialized from a schedule's (superstep, core) groups —
-/// the same loop BspExecutor's constructor runs.
-detail::FoldedLists listsFromSchedule(const Schedule& schedule) {
-  detail::FoldedLists lists;
-  const int cores = schedule.numCores();
-  const index_t steps = schedule.numSupersteps();
-  lists.verts.resize(static_cast<size_t>(cores));
-  lists.step_ptr.resize(static_cast<size_t>(cores));
-  for (int t = 0; t < cores; ++t) {
-    auto& verts = lists.verts[static_cast<size_t>(t)];
-    auto& ptr = lists.step_ptr[static_cast<size_t>(t)];
-    ptr.push_back(0);
-    for (index_t s = 0; s < steps; ++s) {
-      const auto group = schedule.group(s, t);
-      verts.insert(verts.end(), group.begin(), group.end());
-      ptr.push_back(static_cast<offset_t>(verts.size()));
-    }
-  }
-  return lists;
-}
-
 /// The SSP chunk region for the slab walk: stream records superstep by
 /// superstep, barrier only when a chunk boundary passes. The kernel
 /// receives (record, chunk_begin superstep, thread).
@@ -84,7 +63,7 @@ void sspSlabChunkRegion(const detail::SlabPlan& plan, index_t steps,
 
 SspExecutor::SspExecutor(const CsrMatrix& lower, const Schedule& schedule)
     : SspExecutor(lower, schedule.numSupersteps(),
-                  listsFromSchedule(schedule)) {
+                  detail::listsFromSchedule(schedule)) {
   if (schedule.numVertices() != lower.rows()) {
     throw std::invalid_argument("SspExecutor: schedule/matrix size mismatch");
   }

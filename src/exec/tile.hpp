@@ -11,9 +11,10 @@
 
 /// \file tile.hpp
 /// Cache-aware column tiling of the multi-RHS right-hand-side/solution
-/// matrix (the StorageKind-orthogonal RHS layout of the tiled solve path).
+/// matrix (the StorageKind-orthogonal RHS layout of every multi-RHS
+/// solve; a row-major n x nrhs matrix is the one-tile layout).
 ///
-/// The untiled multi-RHS walk sweeps an n x nrhs row-major matrix: every
+/// An untiled walk sweeps the n x nrhs row-major matrix: every
 /// row kernel touches nrhs doubles of X per referenced column, so at wide
 /// nrhs the working set of the x-vector traffic is nrhs full columns and
 /// the hot loop turns DRAM-bound. A TileLayout partitions the RHS columns
@@ -26,11 +27,11 @@
 /// sparse x dense-block work (cf. the tiled-SpMM structure in related
 /// work).
 ///
-/// Bitwise contract: a tile is an independent n x w multi-RHS sub-problem
-/// in exactly the layout the untiled kernels consume, and tiling never
-/// splits or reorders a column's arithmetic — column c of a tiled solve is
-/// bit-for-bit the column c of the untiled solve (tests/test_tiled.cpp
-/// pins this for every executor, storage, team, and nrhs).
+/// Bitwise contract: a tile is an independent n x w multi-RHS sub-problem,
+/// and tiling never splits or reorders a column's arithmetic — column c of
+/// a tiled solve is bit-for-bit the single-RHS solve of column c
+/// (tests/test_tiled.cpp and tests/test_solver.cpp pin this for every
+/// executor, storage, team, and nrhs).
 
 namespace sts::exec {
 

@@ -1,0 +1,272 @@
+#pragma once
+
+#include <omp.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
+#include "exec/affinity.hpp"
+#include "exec/elastic.hpp"
+#include "exec/row_kernels.hpp"
+#include "exec/slab.hpp"
+#include "exec/solve_context.hpp"
+#include "exec/tile.hpp"
+#include "fault/failpoint.hpp"
+#include "obs/trace.hpp"
+#include "sparse/csr.hpp"
+
+/// \file walk.hpp
+/// The two OpenMP team regions of the exact executors — the execution
+/// model of §2.2 written once. Each thread walks its rows superstep by
+/// superstep; the superstep walk crosses one barrier per boundary
+/// (BspExecutor, ContiguousBspExecutor), the P2P walk replaces the barrier
+/// by per-row completion-flag waits (P2pExecutor, SpMP-style).
+///
+/// A walk is instantiated with
+///   * a PLAN — the per-thread rows of one (team, fold policy): a row list
+///     (FoldedLists), contiguous row runs (FoldedRanges) or packed slab
+///     records (SlabPlan). threadRows(plan, t) is thread t's cursor;
+///     forEach(s, fn) visits its superstep-s rows in execution order;
+///   * a ROW KERNEL — RhsKernel (one right-hand side) or TileKernel (one
+///     RHS column tile), called as kernel(row, tile) with a row index or a
+///     slab record. Both kernels run the shared row_kernels.hpp arithmetic,
+///     so the plan and the RHS shape never change a result bit.
+///
+/// Every check the solve regions make lives here and nowhere else: the
+/// team size is pinned (omp_set_dynamic(0)), each member takes its
+/// ScopedPin and reports it, an obs::StepTracer attributes compute against
+/// wait, and tools/check_conventions.py rejects a team region in src/exec
+/// outside this file and the SSP executor.
+
+namespace sts::exec::detail {
+
+/// Thread t's cursor over a row-list plan.
+class ListRows {
+ public:
+  ListRows(const FoldedLists& plan, int t)
+      : verts_(plan.verts[static_cast<std::size_t>(t)].data()),
+        ptr_(plan.step_ptr[static_cast<std::size_t>(t)].data()) {}
+
+  template <typename Fn>
+  void forEach(index_t s, Fn&& fn) const {
+    const offset_t end = ptr_[static_cast<std::size_t>(s) + 1];
+    for (offset_t k = ptr_[static_cast<std::size_t>(s)]; k < end; ++k) {
+      fn(verts_[static_cast<std::size_t>(k)]);
+    }
+  }
+  void endStep() const {}
+
+ private:
+  const index_t* verts_;
+  const offset_t* ptr_;
+};
+
+/// Thread t's cursor over a row-range plan.
+class RangeRows {
+ public:
+  RangeRows(const FoldedRanges& plan, int t)
+      : runs_(plan.runs[static_cast<std::size_t>(t)].data()),
+        ptr_(plan.step_ptr[static_cast<std::size_t>(t)].data()) {}
+
+  template <typename Fn>
+  void forEach(index_t s, Fn&& fn) const {
+    const offset_t end = ptr_[static_cast<std::size_t>(s) + 1];
+    for (offset_t k = ptr_[static_cast<std::size_t>(s)]; k < end; ++k) {
+      const auto [lo, hi] = runs_[static_cast<std::size_t>(k)];
+      for (index_t i = lo; i < hi; ++i) fn(i);
+    }
+  }
+  void endStep() const {}
+
+ private:
+  const std::pair<index_t, index_t>* runs_;
+  const offset_t* ptr_;
+};
+
+inline ListRows threadRows(const FoldedLists& plan, int t) {
+  return {plan, t};
+}
+inline RangeRows threadRows(const FoldedRanges& plan, int t) {
+  return {plan, t};
+}
+inline SlabStream threadRows(const SlabPlan& plan, int t) {
+  return SlabStream(plan.threads[static_cast<std::size_t>(t)]);
+}
+
+inline index_t rowIndex(index_t i) { return i; }
+inline index_t rowIndex(const SlabRecordView& rec) { return rec.row; }
+
+/// x = L^{-1} b, one row at a time: computeRow on the shared CSR,
+/// computeRowPacked on a slab record. The tile index is always 0.
+class RhsKernel {
+ public:
+  RhsKernel(const sparse::CsrMatrix& lower, std::span<const double> b,
+            std::span<double> x)
+      : row_ptr_(lower.rowPtr()), col_idx_(lower.colIdx()),
+        values_(lower.values()), b_(b), x_(x) {}
+
+  void operator()(index_t i, std::size_t /*tile*/) const {
+    computeRow(row_ptr_, col_idx_, values_, b_, x_, i);
+  }
+  void operator()(const SlabRecordView& rec, std::size_t /*tile*/) const {
+    computeRowPacked(rec.cols, rec.vals, rec.nnz, rec.diag, b_, x_, rec.row);
+  }
+
+ private:
+  std::span<const offset_t> row_ptr_;
+  std::span<const index_t> col_idx_;
+  std::span<const double> values_;
+  std::span<const double> b_;
+  std::span<double> x_;
+};
+
+/// One RHS column tile of a tiled solve: computeRowMultiTiled on the
+/// shared CSR, computeRowMultiPacked on a slab record.
+class TileKernel {
+ public:
+  TileKernel(const sparse::CsrMatrix& lower, const TileViews& tiles)
+      : row_ptr_(lower.rowPtr()), col_idx_(lower.colIdx()),
+        values_(lower.values()), tiles_(&tiles) {}
+
+  void operator()(index_t i, std::size_t tile) const {
+    computeRowMultiTiled(row_ptr_, col_idx_, values_, tiles_->b[tile],
+                         tiles_->x[tile], i, tiles_->width[tile]);
+  }
+  void operator()(const SlabRecordView& rec, std::size_t tile) const {
+    computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
+                          tiles_->b[tile], tiles_->x[tile], rec.row,
+                          tiles_->width[tile]);
+  }
+
+ private:
+  std::span<const offset_t> row_ptr_;
+  std::span<const index_t> col_idx_;
+  std::span<const double> values_;
+  const TileViews* tiles_;
+};
+
+/// The cross-thread parents a P2P row waits on: row i waits for every
+/// adj[ptr[i] .. ptr[i + 1]).
+struct WaitLists {
+  std::span<const offset_t> ptr;
+  std::span<const index_t> adj;
+};
+
+/// Re-establishes the team-join happens-before edge through atomics after
+/// a P2P walk. The OpenMP implicit barrier already joined the team, but
+/// libgomp's futex-based barrier is invisible to ThreadSanitizer (it is
+/// not TSan-instrumented), so the caller's reads of x would appear to race
+/// with worker writes. Each thread's final completion-flag store is a
+/// release covering all of its x writes; acquiring those flags here — they
+/// are already set, so the loops do not spin — rebuilds the same edge in
+/// TSan's model. The superstep walk needs no equivalent: its last
+/// superstep ends on SpinBarrier, whose atomics TSan sees.
+inline void acquireTeamWrites(const FoldedLists& order,
+                              const std::atomic<std::uint32_t>* done,
+                              std::uint32_t epoch) {
+  for (const auto& verts : order.verts) {
+    if (verts.empty()) continue;
+    while (done[static_cast<std::size_t>(verts.back())].load(
+               std::memory_order_acquire) != epoch) {
+    }
+  }
+}
+
+/// The two walks. A struct so SolveContext can befriend both at once.
+struct TeamWalk {
+  /// Barrier-per-superstep walk on a `team`-thread team: per superstep,
+  /// each thread runs its rows once per RHS tile (tiles 0 .. tiles - 1),
+  /// then crosses the barrier — one barrier per superstep whatever the
+  /// tile count, none at all when team == 1.
+  template <typename Plan, typename Kernel>
+  static void supersteps(SolveContext& ctx, int team, index_t steps,
+                         const Plan& plan, std::size_t tiles,
+                         const Kernel& kernel) {
+    const bool sync = team > 1;
+    const std::span<const int> pin_set = ctx.pinnedCores();
+    SpinBarrier& barrier = ctx.barrier_;
+    omp_set_dynamic(0);
+#pragma omp parallel num_threads(team)
+    {
+      const int t = omp_get_thread_num();
+      const ScopedPin pin(pin_set, t);
+      ctx.notePin(pin);
+      obs::StepTracer tracer(ctx.trace());
+      int sense = barrier.initialSense();
+      const Kernel row_kernel = kernel;
+      auto rows = threadRows(plan, t);
+      for (index_t s = 0; s < steps; ++s) {
+        for (std::size_t tile = 0; tile < tiles; ++tile) {
+          rows.forEach(s, [&](const auto& row) { row_kernel(row, tile); });
+        }
+        rows.endStep();
+        // Superstep latency-spike failpoint (delay actions only: a throw
+        // escaping this omp region would terminate). A rank-filtered
+        // delay here models a straggler thread stretching every barrier.
+        STS_FAILPOINT_RANK("exec.superstep", t);
+        tracer.computeDone(static_cast<std::uint64_t>(s));
+        if (sync) {
+          barrier.wait(sense, team);
+          tracer.waitDone(static_cast<std::uint64_t>(s));
+        }
+      }
+    }
+  }
+
+  /// Flag-wait walk on a `team`-thread team under a fresh epoch: each row
+  /// first waits for its `waits` parents' completion flags, then runs the
+  /// kernel on RHS tile `tile` and stamps its own flag. Superstep
+  /// boundaries only order each thread's rows; no thread waits for
+  /// another's superstep. `order` is the row-list form of `plan` (for the
+  /// TSan join edge, acquireTeamWrites).
+  template <typename Plan, typename Kernel>
+  static void p2p(SolveContext& ctx, int team, index_t steps,
+                  const Plan& plan, const FoldedLists& order,
+                  WaitLists waits, std::size_t tile, const Kernel& kernel) {
+    const std::uint32_t epoch = ctx.beginP2pEpoch();
+    std::atomic<std::uint32_t>* const done = ctx.done_.get();
+    const std::span<const int> pin_set = ctx.pinnedCores();
+    // A dynamically shrunk team would strand the flag waits on rows of the
+    // missing threads.
+    omp_set_dynamic(0);
+#pragma omp parallel num_threads(team)
+    {
+      const int t = omp_get_thread_num();
+      const ScopedPin pin(pin_set, t);
+      ctx.notePin(pin);
+      obs::StepTracer tracer(ctx.trace());
+      const Kernel row_kernel = kernel;
+      auto rows = threadRows(plan, t);
+      for (index_t s = 0; s < steps; ++s) {
+        rows.forEach(s, [&](const auto& row) {
+          const auto i = static_cast<std::size_t>(rowIndex(row));
+          // Under a folded team some parents live on this very thread,
+          // earlier in its list — their flags are already set.
+          for (offset_t k = waits.ptr[i]; k < waits.ptr[i + 1]; ++k) {
+            const std::atomic<std::uint32_t>& flag =
+                done[static_cast<std::size_t>(
+                    waits.adj[static_cast<std::size_t>(k)])];
+            // Only unresolved dependencies are timed: the first load
+            // doubles as the resolved-already fast path.
+            if (flag.load(std::memory_order_acquire) != epoch) {
+              tracer.spinBegin();
+              spinUntil([&] {
+                return flag.load(std::memory_order_acquire) == epoch;
+              });
+              tracer.spinEnd(static_cast<std::uint64_t>(i));
+            }
+          }
+          row_kernel(row, tile);
+          done[i].store(epoch, std::memory_order_release);
+        });
+        rows.endStep();
+      }
+      tracer.finishP2p(static_cast<std::uint64_t>(steps));
+    }
+    acquireTeamWrites(order, done, epoch);
+  }
+};
+
+}  // namespace sts::exec::detail

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <thread>
@@ -10,10 +11,12 @@
 #include "core/growlocal.hpp"
 #include "core/reorder.hpp"
 #include "dag/dag.hpp"
+#include "exec/affinity.hpp"
 #include "exec/bsp.hpp"
 #include "exec/p2p.hpp"
 #include "exec/serial.hpp"
 #include "exec/verify.hpp"
+#include "datagen/grids.hpp"
 #include "datagen/random_matrices.hpp"
 #include "sparse/permute.hpp"
 #include "test_util.hpp"
@@ -269,6 +272,31 @@ TEST(BspExecutor, ConcurrentSolvesWithDistinctContexts) {
   }
 }
 
+/// A P2P team pinned onto one CPU: a waiter must yield to the producer it
+/// waits on, or every dependency wait burns the producer's whole time
+/// slice (seconds per solve instead of microseconds).
+TEST(P2pExecutor, TeamPinnedToOneCpuYieldsToProducers) {
+  if (!affinitySupported()) GTEST_SKIP() << "no affinity support";
+  const auto lower = datagen::grid2dLaplacian5(120, 120).lowerTriangle();
+  const Dag d = Dag::fromLowerTriangular(lower);
+  const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
+  const P2pExecutor exec(lower, spmp.schedule, spmp.reduced_dag);
+  const auto b = rhsFor(lower, referenceSolution(lower.rows(), 98));
+  std::vector<double> expected(b.size());
+  solveLowerSerial(lower, b, expected);
+  auto ctx = exec.createContext();
+  ctx->setPinnedCores({0});
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int rep = 0; rep < 20; ++rep) {
+    std::vector<double> x(b.size());
+    exec.solve(b, x, *ctx, 2);
+    ASSERT_EQ(x, expected) << "solve " << rep;
+  }
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed.count(), 5.0);
+}
+
 TEST(BspExecutor, MultiRhsMatchesSingleSolvesBitwise) {
   const auto lower = datagen::bandedLower(300, 7, 0.5, 92);
   const Dag d = Dag::fromLowerTriangular(lower);
@@ -287,7 +315,9 @@ TEST(BspExecutor, MultiRhsMatchesSingleSolvesBitwise) {
     expected.emplace_back(n, 0.0);
     exec.solve(b, expected.back());
   }
-  exec.solveMultiRhs(b_multi, x_multi, kNrhs);
+  exec.solveTiles(b_multi, x_multi, TileLayout(lower.rows(), kNrhs, kNrhs),
+                  *exec.createContext(), exec.numThreads(),
+                  core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -317,7 +347,9 @@ TEST(ContiguousExecutor, MultiRhsMatchesSingleSolvesBitwise) {
     expected.emplace_back(n, 0.0);
     exec.solve(b_perm, expected.back());
   }
-  exec.solveMultiRhs(b_multi, x_multi, kNrhs);
+  exec.solveTiles(b_multi, x_multi, TileLayout(lower.rows(), kNrhs, kNrhs),
+                  *exec.createContext(), exec.numThreads(),
+                  core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -344,7 +376,9 @@ TEST(P2pExecutor, MultiRhsMatchesSerial) {
     expected.emplace_back(n, 0.0);
     solveLowerSerial(lower, b, expected.back());
   }
-  exec.solveMultiRhs(b_multi, x_multi, kNrhs);
+  exec.solveTiles(b_multi, x_multi, TileLayout(lower.rows(), kNrhs, kNrhs),
+                  *exec.createContext(), exec.numThreads(),
+                  core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],

@@ -183,7 +183,10 @@ TEST(MultiRhs, BspExecutorMatchesSerial) {
     }
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     exec::solveLowerSerialMultiRhs(lower, b, x_serial, nrhs);
-    executor.solveMultiRhs(b, x_par, nrhs);
+    executor.solveTiles(b, x_par, exec::TileLayout(lower.rows(), nrhs, nrhs),
+                        *executor.createContext(), executor.numThreads(),
+                        core::FoldPolicy::kModulo,
+                        exec::StorageKind::kSharedCsr);
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }

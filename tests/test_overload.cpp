@@ -277,6 +277,9 @@ TEST(OverloadEngine, PressureShedsPrecisionAndReportsDegradeInfo) {
               response.degrade.tolerance);
   }
   EXPECT_GT(degraded, 0);
+  // Futures resolve before the worker books the batch's stats; drain()
+  // returns only after it has.
+  engine.drain();
   const auto stats = engine.stats(id);
   EXPECT_GT(stats.degraded_batches, 0u);
   EXPECT_EQ(stats.rejected_requests, 1u);

@@ -189,6 +189,41 @@ TEST(TriangularSolver, SolveMultiRhsMatchesIndependentSolves) {
   }
 }
 
+/// nrhs == 1 is solve() itself: the one-column solveMultiRhs runs the
+/// single-RHS walk, bitwise, for every executor kind, storage and team.
+TEST(TriangularSolver, SolveMultiRhsSingleColumnIsSolve) {
+  const auto lower = datagen::erdosRenyiLower({.n = 500, .p = 6e-3, .seed = 64});
+  const auto n = static_cast<size_t>(lower.rows());
+  const auto b = lower.multiply(referenceSolution(lower.rows(), 65));
+  const struct {
+    SchedulerKind kind;
+    bool reorder;
+  } configs[] = {{SchedulerKind::kGrowLocal, true},   // ContiguousBspExecutor
+                 {SchedulerKind::kHdagg, false},      // BspExecutor
+                 {SchedulerKind::kSpmp, false},       // P2pExecutor
+                 {SchedulerKind::kSerial, false}};
+  for (const auto& config : configs) {
+    SolverOptions opts;
+    opts.scheduler = config.kind;
+    opts.num_threads = 2;
+    opts.reorder = config.reorder;
+    const auto solver = TriangularSolver::analyze(lower, opts);
+    auto ctx = solver.createContext();
+    for (const int team : {1, solver.numThreads()}) {
+      for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+        std::vector<double> x_solve(n), x_multi(n);
+        solver.solve(b, x_solve, *ctx, team, core::FoldPolicy::kModulo,
+                     storage);
+        solver.solveMultiRhs(b, x_multi, 1, *ctx, team,
+                             core::FoldPolicy::kModulo, storage);
+        EXPECT_EQ(x_multi, x_solve)
+            << schedulerKindName(config.kind) << " team " << team
+            << " storage " << storageKindName(storage);
+      }
+    }
+  }
+}
+
 /// solvePermuted on manually permuted vectors must round-trip to exactly
 /// what solve() produces (solve() is the permute -> solvePermuted ->
 /// unpermute composition).

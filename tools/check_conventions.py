@@ -5,13 +5,16 @@ Five rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
-      Every `#pragma omp parallel` team region in src/exec/*.cpp must
-      install a ScopedPin and an obs::StepTracer near the top of the
-      region body. A region without the pin silently ignores core-set
-      leases (batches overlap cores again); one without the tracer makes
-      that region invisible to compute/wait attribution. block.cpp's
-      analysis-time `parallel for` loops are exempt (no solve region, no
-      per-thread state).
+      A `#pragma omp parallel` team region in src/exec/ may live only in
+      the two walkers of exec/walk.hpp (the superstep walk and the P2P
+      walk) and in the SSP executor (exec/ssp.cpp): every other exact
+      solve path is an instantiation of a walker, so a new hand-written
+      region is a copy that can drift from them. Each allowed region must
+      install a ScopedPin and an obs::StepTracer near the top of its body.
+      A region without the pin silently ignores core-set leases (batches
+      overlap cores again); one without the tracer makes that region
+      invisible to compute/wait attribution. Analysis-time `parallel for`
+      loops are exempt (no solve region, no per-thread state).
 
   trace-arg-purity
       No side-effecting expressions (++/--/assignment) inside STS_TRACE_*
@@ -61,6 +64,10 @@ SRC = REPO / "src"
 # the pin/tracer setup. The shipped regions install both within a few
 # lines; the slack only absorbs comments and the thread-id prologue.
 OMP_WINDOW = 15
+
+# The only src/exec files allowed to open a team region (the walkers and
+# the SSP executor), relative to src/.
+OMP_REGION_FILES = ("exec/walk.hpp", "exec/ssp.cpp")
 
 TRACE_MACROS = ("STS_TRACE_SPAN", "STS_TRACE_SPAN1", "STS_TRACE_SPAN_AT",
                 "STS_TRACE_INSTANT")
@@ -145,6 +152,12 @@ def check_omp_regions(path: Path, lines: list[str]) -> list[str]:
             continue
         if re.search(r"#pragma omp parallel\s+for\b", stripped):
             continue  # analysis-time parallel loops carry no solve region
+        if path.relative_to(SRC).as_posix() not in OMP_REGION_FILES:
+            errors.append(
+                f"{path.relative_to(REPO)}:{idx + 1}: omp-region-discipline: "
+                f"team region outside the walkers (exec/walk.hpp) and "
+                f"exec/ssp.cpp; instantiate a walker instead")
+            continue
         window = "\n".join(lines[idx:idx + OMP_WINDOW + 1])
         missing = [need for need in ("ScopedPin", "StepTracer")
                    if need not in window]
@@ -265,7 +278,7 @@ def run(paths: list[Path]) -> list[str]:
     errors = []
     for path in paths:
         lines = path.read_text(encoding="utf-8").splitlines()
-        if path.is_relative_to(SRC / "exec") and path.suffix == ".cpp":
+        if path.is_relative_to(SRC / "exec"):
             errors += check_omp_regions(path, lines)
         errors += check_trace_args(path, lines)
         errors += check_includes(path, lines)
@@ -280,17 +293,35 @@ def run(paths: list[Path]) -> list[str]:
 # it before trusting a clean report.
 
 FIXTURES = [
-    ("omp region with pin+tracer passes", "src/exec/fix.cpp", """
+    ("walker region with pin+tracer passes", "src/exec/walk.hpp", """
+#pragma once
 #pragma omp parallel num_threads(team)
   {
     const ScopedPin pin(pin_set, t);
     obs::StepTracer tracer(sink);
   }
 """, None),
-    ("omp region missing both flags", "src/exec/fix.cpp", """
+    ("walker region missing both flags", "src/exec/walk.hpp", """
+#pragma once
 #pragma omp parallel num_threads(team)
   {
     work();
+  }
+""", "omp-region-discipline"),
+    ("team region outside the walkers", "src/exec/bsp.cpp", """
+#pragma omp parallel num_threads(team)
+  {
+    const ScopedPin pin(pin_set, t);
+    obs::StepTracer tracer(sink);
+  }
+""", "omp-region-discipline"),
+    ("team region in an exec header outside the walkers", "src/exec/fix.hpp",
+     """
+#pragma once
+#pragma omp parallel num_threads(team)
+  {
+    const ScopedPin pin(pin_set, t);
+    obs::StepTracer tracer(sink);
   }
 """, "omp-region-discipline"),
     ("omp parallel for is exempt", "src/exec/fix.cpp", """
