@@ -1,26 +1,13 @@
 #include "engine/overload.hpp"
 
-#include <algorithm>
-
 namespace sts::engine {
 
-int overloadStep(double pressure, double hysteresis, int current,
-                 int max_rung) {
-  current = std::clamp(current, 0, max_rung);
-  // The rung pressure asks for, ignoring hysteresis: floor(pressure),
-  // capped by the ladder top. Negative/NaN-free inputs are the caller's
-  // contract (delay estimates are >= 0).
-  const int asked =
-      pressure <= 0.0 ? 0
-                      : std::min(max_rung, static_cast<int>(pressure));
-  if (asked > current) return current + 1;  // escalate one rung per step
-  // De-escalate only once pressure clears the CURRENT rung by the
-  // hysteresis margin: at rung r the boundary back down is r - h, not r,
-  // so a load hovering at a rung boundary holds instead of dithering.
-  if (current > 0 && pressure <= static_cast<double>(current) - hysteresis) {
-    return current - 1;
-  }
-  return current;
+bool overloadStep(double pressure, double hysteresis, bool rejecting) {
+  // Start refusing at the target; stop only once pressure clears it by the
+  // hysteresis band, so a load hovering at the target holds instead of
+  // dithering. Delay estimates are >= 0 (the caller's contract).
+  if (!rejecting) return pressure >= 1.0;
+  return pressure > 1.0 - hysteresis;
 }
 
 }  // namespace sts::engine

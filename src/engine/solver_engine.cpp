@@ -93,44 +93,27 @@ SolverEngine::SolverEngine(EngineOptions options)
   if (options_.core_budget < 0) {
     throw std::invalid_argument("SolverEngine: core_budget must be >= 0");
   }
-  if (options_.stale_supersteps < 0) {
-    throw std::invalid_argument("SolverEngine: stale_supersteps must be >= 0");
-  }
-  if (options_.stale_tolerance < 0.0) {
-    throw std::invalid_argument("SolverEngine: stale_tolerance must be >= 0");
-  }
-  if (options_.stale_max_refine < 0) {
-    throw std::invalid_argument("SolverEngine: stale_max_refine must be >= 0");
-  }
   if (options_.overload_control && options_.overload_target_delay <= 0.0) {
     throw std::invalid_argument(
         "SolverEngine: overload_target_delay must be > 0");
   }
-  if (options_.overload_hysteresis < 0.0) {
+  if (options_.overload_hysteresis < 0.0 ||
+      options_.overload_hysteresis > 1.0) {
     throw std::invalid_argument(
-        "SolverEngine: overload_hysteresis must be >= 0");
+        "SolverEngine: overload_hysteresis must be in [0, 1]");
   }
-  if (options_.overload_max_rung < 1) {
-    throw std::invalid_argument("SolverEngine: overload_max_rung must be >= 1");
-  }
-  if (options_.overload_tolerance_growth < 1.0) {
-    throw std::invalid_argument(
-        "SolverEngine: overload_tolerance_growth must be >= 1");
-  }
-  // Engine-wide lifecycle instruments exist whether or not the ladder
-  // runs: admitted/rejected/expired count the bounded-queue and deadline
-  // machinery too, and the batch-seconds histogram doubles as the
-  // controller's service-rate model.
+  // Engine-wide lifecycle instruments exist whether or not overload
+  // control runs: admitted/rejected/expired count the bounded-queue and
+  // deadline machinery too, and the batch-seconds histogram doubles as
+  // the controller's service-rate model.
   batch_seconds_hist_ = &metrics_.histogram("sts.engine.batch_seconds");
   admitted_counter_ = &metrics_.counter("sts.engine.admitted");
-  degraded_counter_ = &metrics_.counter("sts.engine.degraded");
   rejected_counter_ = &metrics_.counter("sts.engine.rejected");
   expired_counter_ = &metrics_.counter("sts.engine.expired");
   overload_steps_counter_ = &metrics_.counter("sts.engine.overload_steps");
   if (options_.overload_control) {
     overload_ = std::make_unique<OverloadController>(
-        options_.overload_target_delay, options_.overload_hysteresis,
-        options_.overload_max_rung);
+        options_.overload_target_delay, options_.overload_hysteresis);
   }
   if (options_.start_paused) queue_.pause();
   workers_.reserve(static_cast<std::size_t>(options_.num_workers));
@@ -224,10 +207,6 @@ SolverId SolverEngine::registerSolver(
   reg->rhs_solved_counter = &metrics_.counter(solverMetric(id, "rhs_solved"));
   reg->batches_counter = &metrics_.counter(solverMetric(id, "batches"));
   reg->slo_steps_counter = &metrics_.counter(solverMetric(id, "slo_steps"));
-  reg->refine_hist =
-      &metrics_.histogram(solverMetric(id, "refine_iterations"));
-  reg->ssp_fallbacks_counter =
-      &metrics_.counter(solverMetric(id, "ssp_fallbacks"));
   solvers_.push_back(std::move(reg));
   return id;
 }
@@ -285,7 +264,7 @@ void SolverEngine::rejectRequest(SolveRequest&& request, Registered& reg,
     base::MutexLock lock(reg.stats_mu);
     reg.rejected_requests += 1;
   }
-  request.fail(std::make_exception_ptr(EngineError(
+  request.promise.set_exception(std::make_exception_ptr(EngineError(
       EngineErrorCode::kRejected,
       std::string("SolverEngine: request rejected (") + why + ")")));
   noteRetired(1);
@@ -296,12 +275,11 @@ void SolverEngine::dispatch(SolveRequest&& request, Registered& reg) {
   const sts::index_t nrhs = request.nrhs;
   const auto submitted = request.submitted;
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  // Ladder-top admission control: at the reject rung only latency-class
-  // work is still admitted — shedding requests is the last resort, after
-  // precision shedding (the rungs below) stopped being enough.
+  // Overload admission control: while the queue delay sits above target
+  // only latency-class work is still admitted.
   if (overload_ && request.priority == RequestPriority::kThroughput &&
-      overload_->rung() >= overload_->maxRung()) {
-    rejectRequest(std::move(request), reg, "overload ladder at top rung");
+      overload_->rejecting()) {
+    rejectRequest(std::move(request), reg, "overloaded");
     return;
   }
   switch (queue_.push(std::move(request))) {
@@ -336,43 +314,24 @@ void SolverEngine::dispatch(SolveRequest&& request, Registered& reg) {
       reg.saw_submit = true;
     }
   }
-  // The submit path feeds the ladder too: under a stalled or saturated
+  // The submit path feeds the controller too: under a stalled or saturated
   // worker pool, batch completions (the other feed) may be rare exactly
   // when pressure is building.
   if (overload_) overloadUpdate(std::chrono::steady_clock::now());
 }
 
-std::future<std::vector<double>> SolverEngine::submit(SolverId id,
-                                                      std::vector<double> b) {
-  Registered* reg = nullptr;
-  SolveRequest request = buildRequest(id, std::move(b), 1, {}, &reg);
-  auto future = request.promise.get_future();
-  dispatch(std::move(request), *reg);
-  return future;
-}
-
-std::future<std::vector<double>> SolverEngine::submitMulti(
-    SolverId id, std::vector<double> b, sts::index_t nrhs) {
-  Registered* reg = nullptr;
-  SolveRequest request = buildRequest(id, std::move(b), nrhs, {}, &reg);
-  auto future = request.promise.get_future();
-  dispatch(std::move(request), *reg);
-  return future;
-}
-
-std::future<SolveResponse> SolverEngine::submit(
+std::future<std::vector<double>> SolverEngine::submit(
     SolverId id, std::vector<double> b, const SubmitOptions& submit_options) {
   return submitMulti(id, std::move(b), 1, submit_options);
 }
 
-std::future<SolveResponse> SolverEngine::submitMulti(
+std::future<std::vector<double>> SolverEngine::submitMulti(
     SolverId id, std::vector<double> b, sts::index_t nrhs,
     const SubmitOptions& submit_options) {
   Registered* reg = nullptr;
   SolveRequest request = buildRequest(id, std::move(b), nrhs, submit_options,
                                       &reg);
-  request.extended = true;
-  auto future = request.promise_ex.get_future();
+  auto future = request.promise.get_future();
   dispatch(std::move(request), *reg);
   return future;
 }
@@ -413,7 +372,7 @@ void SolverEngine::stop() {
       reg.rejected_requests += 1;
     }
     rejected_counter_->inc();
-    request.fail(std::make_exception_ptr(
+    request.promise.set_exception(std::make_exception_ptr(
         EngineError(EngineErrorCode::kShutdown,
                     "SolverEngine: stopped before dispatch")));
   }
@@ -434,7 +393,7 @@ void SolverEngine::failExpired(std::vector<SolveRequest>& expired) {
       base::MutexLock lock(reg.stats_mu);
       reg.expired_requests += 1;
     }
-    request.fail(std::make_exception_ptr(
+    request.promise.set_exception(std::make_exception_ptr(
         EngineError(EngineErrorCode::kExpired,
                     "SolverEngine: deadline expired before dispatch")));
   }
@@ -624,31 +583,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   bool tiled_batch = false;
   double pack_elapsed = 0.0;
   double unpack_elapsed = 0.0;
-  // Ladder read: one relaxed load per batch, clamped below the reject
-  // rung (the top rung gates admission, not execution). Precision shed
-  // (rung > 0) forces the bounded-stale path on a kExact engine too, with
-  // staleness raised by the rung and tolerance relaxed by growth^rung — a
-  // kBoundedStale engine degrades FROM its configured staleness.
-  const int rung =
-      overload_ ? std::min(overload_->rung(), options_.overload_max_rung - 1)
-                : 0;
-  const bool shed = rung > 0;
-  // Bounded-stale tier: route through the SSP executor with the engine's
-  // staleness/tolerance knobs; what the refinement loop did feeds the
-  // serving stats below.
-  const bool bounded_stale =
-      options_.tier == ServiceTier::kBoundedStale || shed;
-  exec::SspOptions ssp_opts;
-  ssp_opts.staleness = (options_.tier == ServiceTier::kBoundedStale
-                            ? options_.stale_supersteps
-                            : 0) +
-                       static_cast<sts::index_t>(rung);
-  ssp_opts.tolerance =
-      options_.stale_tolerance *
-      std::pow(options_.overload_tolerance_growth, static_cast<double>(rung));
-  ssp_opts.max_refinements = options_.stale_max_refine;
-  exec::SspResult ssp_result;
-
   std::vector<std::vector<double>> results;
   std::exception_ptr error;
   // Per-batch attribution sink: the executor threads' StepTracers flush
@@ -675,15 +609,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       std::vector<double> x(request.b.size());
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        if (bounded_stale) {
-          ssp_result = request.nrhs == 1
-                           ? solver.solveBoundedStale(request.b, x, ssp_opts,
-                                                      lease.context(), team,
-                                                      fold_policy, storage)
-                           : solver.solveBoundedStaleMultiRhs(
-                                 request.b, x, request.nrhs, ssp_opts,
-                                 lease.context(), team, fold_policy, storage);
-        } else if (request.nrhs == 1) {
+        if (request.nrhs == 1) {
           solver.solve(request.b, x, lease.context(), team, fold_policy,
                        storage);
         } else {
@@ -695,7 +621,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
         }
       }
       results.push_back(std::move(x));
-    } else if (!bounded_stale) {
+    } else {
       // Coalesced batch: the k request vectors are packed
       // DIRECTLY into the solver's cache-sized column tiles — permutation
       // fused into the pack, no intermediate row-major staging matrix —
@@ -756,43 +682,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
                                           u0)
                 .count();
       }
-    } else {
-      // Coalesced bounded-stale batch: k single-RHS requests become the k
-      // columns of one row-major n x k SSP solve. It stays row-major: the
-      // SSP multi-RHS kernels read whole dropped entries per row, which
-      // the column tiling would split across sweeps.
-      total_rhs = static_cast<sts::index_t>(k);
-      std::vector<double> b_packed(n * k);
-      std::vector<double> x_packed(n * k);
-      {
-        STS_TRACE_SPAN1("engine", "pack", "rhs", k);
-        const auto p0 = std::chrono::steady_clock::now();
-        for (std::size_t j = 0; j < k; ++j) {
-          const auto& b = batch[j].b;
-          for (std::size_t i = 0; i < n; ++i) b_packed[i * k + j] = b[i];
-        }
-        pack_elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          p0)
-                .count();
-      }
-      {
-        STS_TRACE_SPAN1("engine", "solve", "team", team);
-        ssp_result = solver.solveBoundedStaleMultiRhs(
-            b_packed, x_packed, static_cast<sts::index_t>(k), ssp_opts,
-            lease.context(), team, fold_policy, storage);
-      }
-      STS_TRACE_SPAN1("engine", "unpack", "rhs", k);
-      const auto u0 = std::chrono::steady_clock::now();
-      results.resize(k);
-      for (std::size_t j = 0; j < k; ++j) {
-        auto& x = results[j];
-        x.resize(n);
-        for (std::size_t i = 0; i < n; ++i) x[i] = x_packed[i * k + j];
-      }
-      unpack_elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - u0)
-              .count();
     }
     // Read the pin outcome before the context returns to the pool (the
     // pool clears pin state on release so placements never leak).
@@ -806,29 +695,19 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   STS_TRACE_INSTANT("engine", "batch_done", "rhs",
                     static_cast<std::uint64_t>(total_rhs), "team",
                     static_cast<std::uint64_t>(team));
-  // Refresh the controller's service-rate model and take one ladder step
-  // off the post-batch queue state — BEFORE the promises resolve, so a
-  // client reacting to its future already sees the stepped-down rung.
+  // Refresh the controller's service-rate model and take one admission
+  // step off the post-batch queue state — BEFORE the promises resolve, so
+  // a client reacting to its future already sees the readmitted state.
   batch_seconds_hist_->record(batch_seconds);
   batch_p50_.store(batch_seconds_hist_->quantile(0.5),
                    std::memory_order_relaxed);
   if (overload_) overloadUpdate(t1);
 
-  // How (whether) this batch was degraded, stamped on every response the
-  // extended futures carry — precision shedding is visible, never silent.
-  DegradeInfo degrade;
-  degrade.tier =
-      bounded_stale ? ServiceTier::kBoundedStale : ServiceTier::kExact;
-  degrade.staleness = bounded_stale ? ssp_opts.staleness : 0;
-  degrade.rung = rung;
-  degrade.residual = bounded_stale ? ssp_result.residual : 0.0;
-  degrade.tolerance = bounded_stale ? ssp_opts.tolerance : 0.0;
-  degrade.degraded = shed;
   for (std::size_t j = 0; j < k; ++j) {
     if (error) {
-      batch[j].fail(error);
+      batch[j].promise.set_exception(error);
     } else {
-      batch[j].resolve(std::move(results[j]), degrade);
+      batch[j].promise.set_value(std::move(results[j]));
     }
   }
 
@@ -849,20 +728,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   reg.migrated_threads += migrated_threads;
   if (!error && storage == exec::StorageKind::kSlab) reg.slab_batches += 1;
   if (!error && tiled_batch) reg.tiled_batches += 1;
-  if (!error && shed) {
-    reg.degraded_batches += 1;
-    degraded_counter_->add(static_cast<std::uint64_t>(k));
-  }
-  if (!error && bounded_stale) {
-    reg.ssp_batches += 1;
-    reg.refine_iterations += static_cast<std::uint64_t>(ssp_result.refinements);
-    reg.last_residual = ssp_result.residual;
-    reg.refine_hist->record(static_cast<double>(ssp_result.refinements));
-    if (ssp_result.fell_back) {
-      reg.ssp_fallbacks += 1;
-      reg.ssp_fallbacks_counter->inc();
-    }
-  }
   reg.busy_seconds += batch_seconds;
   reg.pack_seconds += pack_elapsed;
   reg.unpack_seconds += unpack_elapsed;
@@ -937,13 +802,8 @@ SolverServingStats SolverEngine::stats(SolverId id) const {
     out.tiled_batches = reg.tiled_batches;
     out.seeded_team = reg.seeded_team;
     out.slo_steps = reg.slo_steps;
-    out.ssp_batches = reg.ssp_batches;
-    out.refine_iterations = reg.refine_iterations;
-    out.ssp_fallbacks = reg.ssp_fallbacks;
-    out.last_residual = reg.last_residual;
     out.rejected_requests = reg.rejected_requests;
     out.expired_requests = reg.expired_requests;
-    out.degraded_batches = reg.degraded_batches;
     out.busy_seconds = reg.busy_seconds;
     out.pack_seconds = reg.pack_seconds;
     out.unpack_seconds = reg.unpack_seconds;

@@ -198,19 +198,6 @@ class SlabStream {
   const std::byte* step_end_;
 };
 
-/// Streams `slab` superstep by superstep, calling `row(rec)` per record
-/// and `end_step()` after each superstep's records.
-template <typename RowFn, typename EndStepFn>
-inline void forEachSlabRecord(const SlabThread& slab, sts::index_t num_steps,
-                              RowFn&& row, EndStepFn&& end_step) {
-  SlabStream stream(slab);
-  for (sts::index_t s = 0; s < num_steps; ++s) {
-    stream.forEach(s, row);
-    stream.endStep();
-    end_step();
-  }
-}
-
 /// Bytes one full sweep streams from the plan's record slabs (summed over
 /// threads); the slab side of the bytesMoved() accounting tools/roofline.py
 /// consumes. Tiled walks re-stream this once per tile.

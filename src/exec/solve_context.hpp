@@ -56,7 +56,6 @@ class BspExecutor;
 class ContiguousBspExecutor;
 class P2pExecutor;
 class ScopedPin;
-class SspExecutor;
 class TriangularSolver;
 namespace detail {
 struct TeamWalk;
@@ -114,7 +113,6 @@ class SolveContext {
   friend class BspExecutor;
   friend class ContiguousBspExecutor;
   friend class P2pExecutor;
-  friend class SspExecutor;
   friend class TriangularSolver;
   friend struct detail::TeamWalk;
   friend class ::SolveContextTestPeer;  ///< epoch-wraparound tests only
@@ -135,9 +133,6 @@ class SolveContext {
   /// Scratch sized to at least `size` doubles (grow-only).
   std::span<double> bScratch(std::size_t size);
   std::span<double> xScratch(std::size_t size);
-  /// SSP residual/correction scratch — distinct from b/xScratch, which the
-  /// solver-level permutation wrappers already occupy during a solve.
-  std::span<double> sspScratch(std::size_t size);
 
   /// Executors report each team member's ScopedPin outcome here from
   /// inside the parallel region (hence the relaxed atomics).
@@ -160,7 +155,6 @@ class SolveContext {
 
   std::vector<double> b_scratch_;
   std::vector<double> x_scratch_;
-  std::vector<double> ssp_scratch_;
 };
 
 }  // namespace sts::exec

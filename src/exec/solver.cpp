@@ -132,13 +132,6 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
     solver.permuted_ = true;
     solver.matrix_ =
         std::make_shared<const CsrMatrix>(std::move(problem.matrix));
-    // The SSP executor shares the contiguous analysis product; materialize
-    // its work lists before the group_ptr ranges are moved away.
-    solver.ssp_ = std::make_unique<SspExecutor>(
-        *solver.matrix_, problem.num_supersteps,
-        SspExecutor::listsFromGroupPtr(problem.group_ptr,
-                                       problem.num_supersteps,
-                                       problem.num_cores));
     solver.contiguous_ = std::make_unique<ContiguousBspExecutor>(
         *solver.matrix_, problem.num_supersteps, problem.num_cores,
         std::move(problem.group_ptr));
@@ -146,14 +139,10 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   } else if (options.scheduler == SchedulerKind::kSpmp) {
     solver.p2p_ = std::make_unique<P2pExecutor>(
         *solver.matrix_, solver.schedule_, spmp->reduced_dag);
-    solver.ssp_ =
-        std::make_unique<SspExecutor>(*solver.matrix_, solver.schedule_);
     solver.exec_threads_ = solver.p2p_->numThreads();
   } else {
     solver.bsp_ =
         std::make_unique<BspExecutor>(*solver.matrix_, solver.schedule_);
-    solver.ssp_ =
-        std::make_unique<SspExecutor>(*solver.matrix_, solver.schedule_);
     solver.exec_threads_ = solver.bsp_->numThreads();
   }
   solver.analysis_seconds_ =
@@ -300,80 +289,6 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
                                      std::span<double> x,
                                      index_t nrhs) const {
   solveMultiRhs(b, x, nrhs, defaultContext(), default_team_);
-}
-
-SspResult TriangularSolver::solveBoundedStale(std::span<const double> b,
-                                              std::span<double> x,
-                                              const SspOptions& opts,
-                                              SolveContext& ctx, int threads,
-                                              core::FoldPolicy policy,
-                                              StorageKind storage) const {
-  if (static_cast<index_t>(b.size()) != n_ ||
-      static_cast<index_t>(x.size()) != n_) {
-    throw std::invalid_argument(
-        "TriangularSolver::solveBoundedStale: size mismatch");
-  }
-  const int team = clampTeam(threads);
-  if (!permuted_) {
-    return ssp_->solve(b, x, opts, ctx, team, policy, storage);
-  }
-  const auto n = static_cast<size_t>(n_);
-  auto b_perm = ctx.bScratch(n);
-  auto x_perm = ctx.xScratch(n);
-  for (size_t i = 0; i < n; ++i) {
-    b_perm[i] = b[static_cast<size_t>(total_new_to_old_[i])];
-  }
-  const SspResult result =
-      ssp_->solve(b_perm, x_perm, opts, ctx, team, policy, storage);
-  for (size_t i = 0; i < n; ++i) {
-    x[static_cast<size_t>(total_new_to_old_[i])] = x_perm[i];
-  }
-  return result;
-}
-
-SspResult TriangularSolver::solveBoundedStale(std::span<const double> b,
-                                              std::span<double> x,
-                                              const SspOptions& opts,
-                                              SolveContext& ctx) const {
-  return solveBoundedStale(b, x, opts, ctx, default_team_,
-                           options_.fold_policy, options_.storage);
-}
-
-SspResult TriangularSolver::solveBoundedStaleMultiRhs(
-    std::span<const double> b, std::span<double> x, index_t nrhs,
-    const SspOptions& opts, SolveContext& ctx, int threads,
-    core::FoldPolicy policy, StorageKind storage) const {
-  const auto n = static_cast<size_t>(n_);
-  if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
-      x.size() != b.size()) {
-    throw std::invalid_argument(
-        "TriangularSolver::solveBoundedStaleMultiRhs: size mismatch");
-  }
-  const int team = clampTeam(threads);
-  const auto r = static_cast<size_t>(nrhs);
-  if (!permuted_) {
-    return ssp_->solveMultiRhs(b, x, nrhs, opts, ctx, team, policy, storage);
-  }
-  auto b_perm = ctx.bScratch(n * r);
-  auto x_perm = ctx.xScratch(n * r);
-  for (size_t i = 0; i < n; ++i) {
-    const auto old = static_cast<size_t>(total_new_to_old_[i]);
-    for (size_t c = 0; c < r; ++c) b_perm[i * r + c] = b[old * r + c];
-  }
-  const SspResult result = ssp_->solveMultiRhs(b_perm, x_perm, nrhs, opts,
-                                               ctx, team, policy, storage);
-  for (size_t i = 0; i < n; ++i) {
-    const auto old = static_cast<size_t>(total_new_to_old_[i]);
-    for (size_t c = 0; c < r; ++c) x[old * r + c] = x_perm[i * r + c];
-  }
-  return result;
-}
-
-SspResult TriangularSolver::solveBoundedStaleMultiRhs(
-    std::span<const double> b, std::span<double> x, index_t nrhs,
-    const SspOptions& opts, SolveContext& ctx) const {
-  return solveBoundedStaleMultiRhs(b, x, nrhs, opts, ctx, default_team_,
-                                   options_.fold_policy, options_.storage);
 }
 
 TileLayout TriangularSolver::tileLayout(index_t nrhs,

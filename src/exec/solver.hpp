@@ -13,7 +13,6 @@
 #include "exec/bsp.hpp"
 #include "exec/p2p.hpp"
 #include "exec/solve_context.hpp"
-#include "exec/ssp.hpp"
 #include "exec/storage.hpp"
 #include "sparse/csr.hpp"
 
@@ -194,32 +193,6 @@ class TriangularSolver {
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
                      index_t nrhs) const;
 
-  /// Bounded-stale solve (exec/ssp.hpp): x = T^{-1} b via chunked-barrier
-  /// SSP sweeps plus residual-checked refinement, to opts.tolerance or the
-  /// exact fallback. Permutation handling, concurrency, elasticity, and
-  /// storage contracts match solve(); opts.staleness == 0 is bitwise equal
-  /// to solve() for every scheduler kind, team, and storage. Returns what
-  /// the solve did (refinements, final residual, fallback) — the serving
-  /// engine's bounded-stale tier folds these into its stats.
-  SspResult solveBoundedStale(std::span<const double> b, std::span<double> x,
-                              const SspOptions& opts, SolveContext& ctx,
-                              int threads, core::FoldPolicy policy,
-                              StorageKind storage) const;
-  SspResult solveBoundedStale(std::span<const double> b, std::span<double> x,
-                              const SspOptions& opts, SolveContext& ctx) const;
-
-  /// Bounded-stale X = T^{-1} B, row-major n x nrhs like solveMultiRhs();
-  /// the residual bound holds for every RHS column.
-  SspResult solveBoundedStaleMultiRhs(std::span<const double> b,
-                                      std::span<double> x, index_t nrhs,
-                                      const SspOptions& opts, SolveContext& ctx,
-                                      int threads, core::FoldPolicy policy,
-                                      StorageKind storage) const;
-  SspResult solveBoundedStaleMultiRhs(std::span<const double> b,
-                                      std::span<double> x, index_t nrhs,
-                                      const SspOptions& opts,
-                                      SolveContext& ctx) const;
-
   /// Tiled SpTRSM on PRE-TILED, PRE-PERMUTED buffers: b and x are packed as
   /// `layout` column tiles (layout.rows() == numRows()) in the INTERNAL row
   /// order. The zero-copy entry the serving engine packs coalesced batches
@@ -305,9 +278,6 @@ class TriangularSolver {
   std::unique_ptr<BspExecutor> bsp_;
   std::unique_ptr<ContiguousBspExecutor> contiguous_;
   std::unique_ptr<P2pExecutor> p2p_;
-  /// The bounded-stale executor, built for every scheduler kind from the
-  /// same analysis product the exact executor runs (ssp.hpp).
-  std::unique_ptr<SspExecutor> ssp_;
 
   /// Backs the context-free convenience overloads.
   std::unique_ptr<SolveContext> default_ctx_;

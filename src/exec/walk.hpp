@@ -37,8 +37,8 @@
 /// Every check the solve regions make lives here and nowhere else: the
 /// team size is pinned (omp_set_dynamic(0)), each member takes its
 /// ScopedPin and reports it, an obs::StepTracer attributes compute against
-/// wait, and tools/check_conventions.py rejects a team region in src/exec
-/// outside this file and the SSP executor.
+/// wait, and tools/check_conventions.py rejects a team region anywhere
+/// else in src/exec.
 
 namespace sts::exec::detail {
 

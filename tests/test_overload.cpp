@@ -28,59 +28,58 @@ std::shared_ptr<const TriangularSolver> analyzeShared(
       TriangularSolver::analyze(lower, opts));
 }
 
-// ---------------------------------------------------------------- ladder
+// ------------------------------------------------------------- admission
 
-TEST(OverloadStep, MonotoneInPressureAndOneRungPerStep) {
-  constexpr int kMaxRung = 4;
-  for (int current = 0; current <= kMaxRung; ++current) {
-    int prev = -1;
-    for (double pressure = 0.0; pressure <= 8.0; pressure += 0.05) {
-      const int next = overloadStep(pressure, 0.5, current, kMaxRung);
-      // Never more than one rung of movement, always inside the ladder.
-      EXPECT_LE(std::abs(next - current), 1);
-      EXPECT_GE(next, 0);
-      EXPECT_LE(next, kMaxRung);
-      // Monotone in pressure for a fixed current rung.
-      if (prev >= 0) {
-        EXPECT_GE(next, prev);
+TEST(OverloadStep, MonotoneInPressureForEitherState) {
+  for (const bool rejecting : {false, true}) {
+    bool prev = false;
+    for (double pressure = 0.0; pressure <= 4.0; pressure += 0.05) {
+      const bool next = overloadStep(pressure, 0.5, rejecting);
+      // Once pressure asks for rejection, more pressure never readmits.
+      if (prev) {
+        EXPECT_TRUE(next);
       }
       prev = next;
     }
   }
 }
 
-TEST(OverloadStep, EscalatesByFlooredPressure) {
-  // Pressure in [r, r+1) asks for rung r; movement is one rung at a time.
-  EXPECT_EQ(overloadStep(0.5, 0.5, 0, 3), 0);
-  EXPECT_EQ(overloadStep(1.2, 0.5, 0, 3), 1);
-  EXPECT_EQ(overloadStep(7.0, 0.5, 0, 3), 1);  // no jumps, however hard
-  EXPECT_EQ(overloadStep(7.0, 0.5, 1, 3), 2);
-  EXPECT_EQ(overloadStep(7.0, 0.5, 3, 3), 3);  // saturates at the top
+TEST(OverloadStep, StartsRejectingAtTheTarget) {
+  EXPECT_FALSE(overloadStep(0.0, 0.5, false));
+  EXPECT_FALSE(overloadStep(0.99, 0.5, false));
+  EXPECT_TRUE(overloadStep(1.0, 0.5, false));
+  EXPECT_TRUE(overloadStep(7.0, 0.5, false));
 }
 
-TEST(OverloadStep, StepsDownOnlyPastHysteresis) {
-  // At rung 2 with h = 0.5 the de-escalation boundary is pressure 1.5.
-  EXPECT_EQ(overloadStep(1.9, 0.5, 2, 3), 2);  // inside the band: hold
-  EXPECT_EQ(overloadStep(1.5, 0.5, 2, 3), 1);  // clears it: one rung down
-  EXPECT_EQ(overloadStep(0.0, 0.5, 1, 3), 0);
-  EXPECT_EQ(overloadStep(0.0, 0.5, 0, 3), 0);  // floor
+TEST(OverloadStep, ReadmitsOnlyPastHysteresis) {
+  // With h = 0.5 the readmission boundary is pressure 0.5.
+  EXPECT_TRUE(overloadStep(1.5, 0.5, true));
+  EXPECT_TRUE(overloadStep(0.9, 0.5, true));  // inside the band: hold
+  EXPECT_TRUE(overloadStep(0.51, 0.5, true));
+  EXPECT_FALSE(overloadStep(0.5, 0.5, true));  // clears it: readmit
+  EXPECT_FALSE(overloadStep(0.0, 0.5, true));
+  // h = 0 readmits as soon as pressure drops to the target.
+  EXPECT_FALSE(overloadStep(1.0, 0.0, true));
+  EXPECT_TRUE(overloadStep(1.01, 0.0, true));
 }
 
-TEST(OverloadController, WalksTheLadderOneUpdateAtATime) {
-  OverloadController controller(/*target_delay=*/0.1, /*hysteresis=*/0.5,
-                                /*max_rung=*/3);
-  EXPECT_EQ(controller.rung(), 0);
-  // Sustained 10x-target pressure: up exactly one rung per update.
-  for (int expected = 1; expected <= 3; ++expected) {
-    const auto step = controller.update(/*est_delay_seconds=*/1.0);
-    EXPECT_TRUE(step.moved());
-    EXPECT_EQ(step.to, expected);
-  }
-  EXPECT_EQ(controller.update(1.0).to, 3);  // saturated: hold
-  // Pressure gone: down one rung per update, through the hysteresis band.
-  for (int expected = 2; expected >= 0; --expected) {
-    EXPECT_EQ(controller.update(0.0).to, expected);
-  }
+TEST(OverloadController, SwitchesOncePerTransition) {
+  OverloadController controller(/*target_delay=*/0.1, /*hysteresis=*/0.5);
+  EXPECT_FALSE(controller.rejecting());
+  EXPECT_FALSE(controller.update(/*est_delay_seconds=*/0.05).moved());
+  // 10x-target pressure: reject, then hold.
+  auto step = controller.update(1.0);
+  EXPECT_TRUE(step.moved());
+  EXPECT_TRUE(step.to);
+  EXPECT_TRUE(controller.rejecting());
+  EXPECT_FALSE(controller.update(1.0).moved());
+  // Back under target but inside the band: still rejecting.
+  EXPECT_FALSE(controller.update(0.08).moved());
+  EXPECT_TRUE(controller.rejecting());
+  // Cleared the band: readmit, then hold.
+  step = controller.update(0.05);
+  EXPECT_TRUE(step.moved());
+  EXPECT_FALSE(step.to);
   EXPECT_FALSE(controller.update(0.0).moved());
 }
 
@@ -182,7 +181,7 @@ TEST(RequestQueue, LazyExpirySweepsDeadRequestsIntoTheCallerList) {
 
 // ---------------------------------------------------------------- engine
 
-TEST(OverloadEngine, IdleLadderServesExactBitwise) {
+TEST(OverloadEngine, IdleControllerServesExactBitwise) {
   const auto lower =
       datagen::erdosRenyiLower({.n = 400, .p = 8e-3, .seed = 31});
   auto solver = analyzeShared(lower);
@@ -194,95 +193,73 @@ TEST(OverloadEngine, IdleLadderServesExactBitwise) {
   EngineOptions options;
   options.num_workers = 2;
   options.overload_control = true;
-  options.overload_target_delay = 1e6;  // unreachable: the ladder is idle
+  options.overload_target_delay = 1e6;  // unreachable: never rejects
   SolverEngine engine(options);
   const auto id = engine.registerSolver(solver);
 
-  std::vector<std::future<SolveResponse>> futures;
+  std::vector<std::future<std::vector<double>>> futures;
   for (int r = 0; r < 8; ++r) {
     futures.push_back(engine.submit(id, b, SubmitOptions{}));
   }
   for (auto& f : futures) {
-    SolveResponse response = f.get();
-    // Rung 0 = the configured (exact) tier, bitwise — an idle ladder is
-    // indistinguishable from overload_control off.
-    EXPECT_EQ(response.degrade.rung, 0);
-    EXPECT_FALSE(response.degrade.degraded);
-    EXPECT_EQ(response.degrade.tier, ServiceTier::kExact);
-    EXPECT_EQ(response.degrade.staleness, 0);
-    EXPECT_EQ(response.x, expected);
+    // An idle controller is indistinguishable from overload_control off.
+    EXPECT_EQ(f.get(), expected);
   }
-  EXPECT_EQ(engine.overloadRung(), 0);
-  EXPECT_EQ(engine.stats(id).degraded_batches, 0u);
+  EXPECT_FALSE(engine.overloaded());
+  EXPECT_EQ(engine.stats(id).rejected_requests, 0u);
 }
 
-TEST(OverloadEngine, PressureShedsPrecisionAndReportsDegradeInfo) {
+TEST(OverloadEngine, SaturatedControllerRejectsThroughputAndServesLatencyExact) {
   const auto lower =
       datagen::erdosRenyiLower({.n = 600, .p = 6e-3, .seed = 37});
   auto solver = analyzeShared(lower);
   const auto x_true = exec::referenceSolution(lower.rows(), 9);
   const auto b = lower.multiply(x_true);
+  std::vector<double> expected(b.size(), 0.0);
+  solver->solve(b, expected);
 
   EngineOptions options;
   options.num_workers = 1;
   options.start_paused = true;
   options.overload_control = true;
   options.overload_target_delay = 1e-6;  // any real wait saturates pressure
-  options.overload_max_rung = 3;
-  options.stale_tolerance = 1e-8;
   SolverEngine engine(options);
   const auto id = engine.registerSolver(solver);
 
-  // Stage latency-class work while paused; each submit feeds the ladder
-  // and the aging head wait drives pressure far past target, so the rung
-  // climbs one submit at a time to the top.
+  // Stage latency-class work while paused; each submit feeds the
+  // controller and the aging head wait drives pressure far past target.
   SubmitOptions latency;
   latency.priority = RequestPriority::kLatency;
-  std::vector<std::future<SolveResponse>> futures;
+  std::vector<std::future<std::vector<double>>> futures;
   for (int r = 0; r < 8; ++r) {
     futures.push_back(engine.submit(id, b, latency));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(engine.overloadRung(), options.overload_max_rung);
+  EXPECT_TRUE(engine.overloaded());
 
-  // At the top rung new THROUGHPUT-class work is refused with a typed
-  // error; the staged latency work above was all admitted.
-  auto refused = engine.submit(id, b);
-  try {
-    refused.get();
-    FAIL() << "expected EngineError{kRejected}";
-  } catch (const EngineError& error) {
-    EXPECT_EQ(error.code(), EngineErrorCode::kRejected);
+  // Saturated: new THROUGHPUT-class work is refused with a typed error,
+  // with or without SubmitOptions...
+  std::vector<std::future<std::vector<double>>> refused;
+  refused.push_back(engine.submit(id, b));
+  refused.push_back(engine.submit(id, b, SubmitOptions{}));
+  for (auto& f : refused) {
+    try {
+      f.get();
+      FAIL() << "expected EngineError{kRejected}";
+    } catch (const EngineError& error) {
+      EXPECT_EQ(error.code(), EngineErrorCode::kRejected);
+    }
   }
+  // ...while latency-class work is still admitted.
+  futures.push_back(engine.submit(id, b, latency));
 
+  // Every admitted response is the exact solve, bitwise.
   engine.resume();
-  int degraded = 0;
-  for (auto& f : futures) {
-    SolveResponse response = f.get();
-    if (!response.degrade.degraded) continue;
-    ++degraded;
-    // DegradeInfo accuracy: a shed batch on a kExact engine runs the
-    // bounded-stale tier with staleness == rung, below the reject rung,
-    // at the configured tolerance (growth defaults to 1.0) — and the
-    // refinement contract holds on the RETURNED solution, not just the
-    // reported residual.
-    EXPECT_EQ(response.degrade.tier, ServiceTier::kBoundedStale);
-    EXPECT_GE(response.degrade.rung, 1);
-    EXPECT_LT(response.degrade.rung, options.overload_max_rung);
-    EXPECT_EQ(response.degrade.staleness,
-              static_cast<sts::index_t>(response.degrade.rung));
-    EXPECT_DOUBLE_EQ(response.degrade.tolerance, options.stale_tolerance);
-    EXPECT_LE(response.degrade.residual, response.degrade.tolerance);
-    EXPECT_LE(exec::residualInf(lower, response.x, b),
-              response.degrade.tolerance);
-  }
-  EXPECT_GT(degraded, 0);
-  // Futures resolve before the worker books the batch's stats; drain()
-  // returns only after it has.
+  for (auto& f : futures) EXPECT_EQ(f.get(), expected);
   engine.drain();
   const auto stats = engine.stats(id);
-  EXPECT_GT(stats.degraded_batches, 0u);
-  EXPECT_EQ(stats.rejected_requests, 1u);
+  EXPECT_EQ(stats.rejected_requests, 2u);
+  EXPECT_EQ(stats.rhs_solved, futures.size());
 }
 
 TEST(OverloadEngine, BoundedQueueRejectsBeyondDepthWithTypedError) {
@@ -340,7 +317,7 @@ TEST(OverloadEngine, DeadlinesExpireLazilyWithTypedError) {
   } catch (const EngineError& error) {
     EXPECT_EQ(error.code(), EngineErrorCode::kExpired);
   }
-  EXPECT_FALSE(patient.get().x.empty());  // the undeadlined one solved
+  EXPECT_FALSE(patient.get().empty());  // the undeadlined one solved
   EXPECT_EQ(engine.stats(id).expired_requests, 1u);
   engine.drain();
 }
@@ -350,12 +327,9 @@ TEST(OverloadEngine, ValidatesOverloadOptions) {
   bad_target.overload_control = true;
   bad_target.overload_target_delay = 0.0;
   EXPECT_THROW(SolverEngine{bad_target}, std::invalid_argument);
-  EngineOptions bad_rung;
-  bad_rung.overload_max_rung = 0;
-  EXPECT_THROW(SolverEngine{bad_rung}, std::invalid_argument);
-  EngineOptions bad_growth;
-  bad_growth.overload_tolerance_growth = 0.5;
-  EXPECT_THROW(SolverEngine{bad_growth}, std::invalid_argument);
+  EngineOptions bad_hysteresis;
+  bad_hysteresis.overload_hysteresis = 1.5;
+  EXPECT_THROW(SolverEngine{bad_hysteresis}, std::invalid_argument);
   EngineOptions bad_deadline_engine;
   SolverEngine engine(bad_deadline_engine);
   const auto lower = datagen::bandedLower(50, 4, 0.5, 3);

@@ -5,7 +5,7 @@ Covers tools/bench_diff.py and tools/roofline.py end to end — as
 subprocesses against fixture JSONs, exactly how CI invokes them — so the
 exit-code contracts the workflows gate on (0 ok / 1 regression or drift /
 2 usage-schema error) are themselves under test, including the
-ssp_staleness flattening added with the bounded-staleness tier.
+overload_resilience row flattening.
 
 Run directly (python3 tests/test_tools.py) or via ctest (test_tools).
 """
@@ -63,24 +63,18 @@ def snapshot_fixture():
                     "bytes_moved": 1.0e6, "flops": 1.0e6,
                 }],
             },
-            "ssp_staleness": {
-                "tolerance": 1e-8,
-                "results": [
-                    {
-                        "dataset": "narrow-band", "matrix": "nb_A",
-                        "executor": "contiguous", "team": 2, "staleness": 0,
-                        "exact_seconds": 1.0e-3, "ssp_seconds": 1.0e-3,
-                        "ssp_speedup": 1.0, "refinements": 0,
-                        "residual": 0.0, "fell_back": False,
-                    },
-                    {
-                        "dataset": "narrow-band", "matrix": "nb_A",
-                        "executor": "contiguous", "team": 2, "staleness": 2,
-                        "exact_seconds": 1.0e-3, "ssp_seconds": 1.5e-3,
-                        "ssp_speedup": 0.67, "refinements": 3,
-                        "residual": 1e-12, "fell_back": False,
-                    },
-                ],
+            "overload_resilience": {
+                "requests": 96,
+                "results": [{
+                    "matrix": "grid2d_5pt",
+                    "baseline_rhs_per_second": 1000.0,
+                    "overload_rhs_per_second": 700.0,
+                    "throughput_ratio": 0.7,
+                    "latency_p50_seconds": 2.0e-3,
+                    "latency_p95_seconds": 4.0e-3,
+                    "admitted": 70, "rejected": 26, "expired": 0,
+                    "unresolved": 0,
+                }],
             },
         },
     }
@@ -105,33 +99,33 @@ class BenchDiffTest(ToolTestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("0 regression(s)", out)
 
-    def test_ssp_seconds_regression_gates(self):
+    def test_overload_latency_regression_gates(self):
         base = self.write_json("base.json", snapshot_fixture())
         worse = snapshot_fixture()
-        row = worse["benches"]["ssp_staleness"]["results"][1]
-        row["ssp_seconds"] *= 1.5
+        row = worse["benches"]["overload_resilience"]["results"][0]
+        row["latency_p95_seconds"] *= 1.5
         cand = self.write_json("cand.json", worse)
         code, out, _ = run_tool(BENCH_DIFF, base, cand)
         self.assertEqual(code, 1, out)
-        self.assertIn("ssp_staleness/nb_A/contiguous/team2/s2/ssp_seconds",
+        self.assertIn("overload_resilience/grid2d_5pt/latency_p95_seconds",
                       out)
         self.assertIn("REGRESSED", out)
 
     def test_speedup_direction_is_higher_better(self):
         base = self.write_json("base.json", snapshot_fixture())
         worse = snapshot_fixture()
-        worse["benches"]["ssp_staleness"]["results"][1]["ssp_speedup"] = 0.4
+        worse["benches"]["tiled_multirhs"]["results"][0]["tiled_speedup"] = 0.4
         cand = self.write_json("cand.json", worse)
         code, out, _ = run_tool(BENCH_DIFF, base, cand)
         self.assertEqual(code, 1, out)
-        self.assertIn("ssp_speedup", out)
+        self.assertIn("tiled_speedup", out)
 
-    def test_refinement_counts_are_informational_not_gated(self):
+    def test_admission_counts_are_informational_not_gated(self):
         base = self.write_json("base.json", snapshot_fixture())
         more = snapshot_fixture()
-        row = more["benches"]["ssp_staleness"]["results"][1]
-        row["refinements"] = 10 * row["refinements"]
-        row["residual"] = 1e-9
+        row = more["benches"]["overload_resilience"]["results"][0]
+        row["rejected"] = 10 * row["rejected"]
+        row["admitted"] = 5
         cand = self.write_json("cand.json", more)
         code, out, _ = run_tool(BENCH_DIFF, base, cand)
         self.assertEqual(code, 0, out)
@@ -139,7 +133,8 @@ class BenchDiffTest(ToolTestCase):
     def test_filter_scopes_the_gate(self):
         base = self.write_json("base.json", snapshot_fixture())
         worse = snapshot_fixture()
-        worse["benches"]["ssp_staleness"]["results"][1]["ssp_seconds"] *= 2.0
+        row = worse["benches"]["overload_resilience"]["results"][0]
+        row["latency_p95_seconds"] *= 2.0
         cand = self.write_json("cand.json", worse)
         code, out, _ = run_tool(BENCH_DIFF, base, cand,
                                 "--filter", "slab_locality/")
@@ -148,7 +143,8 @@ class BenchDiffTest(ToolTestCase):
     def test_threshold_tolerates_small_drift(self):
         base = self.write_json("base.json", snapshot_fixture())
         drift = snapshot_fixture()
-        drift["benches"]["ssp_staleness"]["results"][1]["ssp_seconds"] *= 1.05
+        row = drift["benches"]["overload_resilience"]["results"][0]
+        row["latency_p95_seconds"] *= 1.05
         cand = self.write_json("cand.json", drift)
         code, out, _ = run_tool(BENCH_DIFF, base, cand, "--threshold", "0.10")
         self.assertEqual(code, 0, out)

@@ -113,10 +113,6 @@ def flatten_snapshot(snapshot):
                             [("", "matrix"), ("", "executor"),
                              ("", "storage"), ("team", "team"),
                              ("nrhs", "nrhs")]))
-    ssp = benches.get("ssp_staleness") or {}
-    out.update(flatten_rows(ssp.get("results", []), "ssp_staleness/",
-                            [("", "matrix"), ("", "executor"),
-                             ("team", "team"), ("s", "staleness")]))
     overload = benches.get("overload_resilience") or {}
     out.update(flatten_rows(overload.get("results", []),
                             "overload_resilience/", [("", "matrix")]))

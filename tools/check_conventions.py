@@ -7,8 +7,7 @@ bitten or would bite silently — none of them is a style preference):
   omp-region-discipline
       A `#pragma omp parallel` team region in src/exec/ may live only in
       the two walkers of exec/walk.hpp (the superstep walk and the P2P
-      walk) and in the SSP executor (exec/ssp.cpp): every other exact
-      solve path is an instantiation of a walker, so a new hand-written
+      walk): every solve path is an instantiation of a walker, so a new hand-written
       region is a copy that can drift from them. Each allowed region must
       install a ScopedPin and an obs::StepTracer near the top of its body.
       A region without the pin silently ignores core-set leases (batches
@@ -65,9 +64,9 @@ SRC = REPO / "src"
 # lines; the slack only absorbs comments and the thread-id prologue.
 OMP_WINDOW = 15
 
-# The only src/exec files allowed to open a team region (the walkers and
-# the SSP executor), relative to src/.
-OMP_REGION_FILES = ("exec/walk.hpp", "exec/ssp.cpp")
+# The only src/exec file allowed to open a team region (the walkers),
+# relative to src/.
+OMP_REGION_FILES = ("exec/walk.hpp",)
 
 TRACE_MACROS = ("STS_TRACE_SPAN", "STS_TRACE_SPAN1", "STS_TRACE_SPAN_AT",
                 "STS_TRACE_INSTANT")
@@ -155,8 +154,8 @@ def check_omp_regions(path: Path, lines: list[str]) -> list[str]:
         if path.relative_to(SRC).as_posix() not in OMP_REGION_FILES:
             errors.append(
                 f"{path.relative_to(REPO)}:{idx + 1}: omp-region-discipline: "
-                f"team region outside the walkers (exec/walk.hpp) and "
-                f"exec/ssp.cpp; instantiate a walker instead")
+                f"team region outside the walkers (exec/walk.hpp); "
+                f"instantiate a walker instead")
             continue
         window = "\n".join(lines[idx:idx + OMP_WINDOW + 1])
         missing = [need for need in ("ScopedPin", "StepTracer")
@@ -318,6 +317,14 @@ FIXTURES = [
     ("team region in an exec header outside the walkers", "src/exec/fix.hpp",
      """
 #pragma once
+#pragma omp parallel num_threads(team)
+  {
+    const ScopedPin pin(pin_set, t);
+    obs::StepTracer tracer(sink);
+  }
+""", "omp-region-discipline"),
+    ("team region in the former bounded-stale executor", "src/exec/ssp.cpp",
+     """
 #pragma omp parallel num_threads(team)
   {
     const ScopedPin pin(pin_set, t);
