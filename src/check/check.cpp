@@ -269,6 +269,91 @@ CheckResult validateSlabPlan(const sparse::CsrMatrix& lower,
   return {};
 }
 
+CheckResult validatePeerWaits(const sparse::CsrMatrix& lower,
+                              const exec::detail::FoldedLists& lists,
+                              const exec::detail::PeerWaits& waits) {
+  const std::size_t team = lists.verts.size();
+  if (waits.waits.size() != team || waits.step_ptr.size() != team ||
+      lists.step_ptr.size() != team) {
+    return CheckResult::failure(
+        "peer waits have " + std::to_string(waits.waits.size()) +
+        " threads for a " + std::to_string(team) + "-thread row plan");
+  }
+  const auto n = static_cast<std::size_t>(lower.rows());
+  std::vector<long long> owner(n, -1);
+  std::vector<long long> step_of(n, -1);
+  for (std::size_t t = 0; t < team; ++t) {
+    const auto& ptr = lists.step_ptr[t];
+    for (std::size_t s = 0; s + 1 < ptr.size(); ++s) {
+      for (auto k = static_cast<std::size_t>(ptr[s]);
+           k < static_cast<std::size_t>(ptr[s + 1]); ++k) {
+        const auto v = static_cast<std::size_t>(lists.verts[t][k]);
+        owner[v] = static_cast<long long>(t);
+        step_of[v] = static_cast<long long>(s);
+      }
+    }
+  }
+
+  const auto row_ptr = lower.rowPtr();
+  const auto col_idx = lower.colIdx();
+  for (std::size_t t = 0; t < team; ++t) {
+    const auto& rows_ptr = lists.step_ptr[t];
+    const auto& ptr = waits.step_ptr[t];
+    const auto& list = waits.waits[t];
+    if (ptr.empty() || ptr.size() != rows_ptr.size() || ptr.front() != 0 ||
+        ptr.back() != static_cast<sts::offset_t>(list.size()) ||
+        !std::is_sorted(ptr.begin(), ptr.end())) {
+      return CheckResult::failure("thread " + std::to_string(t) +
+                                  " has inconsistent wait boundaries");
+    }
+    // covered[u]: the newest superstep of u that t has waited on so far.
+    std::vector<long long> covered(team, -1);
+    for (std::size_t s = 0; s + 1 < ptr.size(); ++s) {
+      const std::string where = "thread " + std::to_string(t) +
+                                " superstep " + std::to_string(s);
+      for (auto k = static_cast<std::size_t>(ptr[s]);
+           k < static_cast<std::size_t>(ptr[s + 1]); ++k) {
+        const auto& wait = list[k];
+        if (wait.peer < 0 || static_cast<std::size_t>(wait.peer) >= team ||
+            static_cast<std::size_t>(wait.peer) == t) {
+          return CheckResult::failure(where + " waits on " +
+                                      at("thread", wait.peer));
+        }
+        if (wait.step < 0 || static_cast<std::size_t>(wait.step) >= s) {
+          return CheckResult::failure(
+              where + " waits on " + at("superstep", wait.step) +
+              " of its peer (a wait must name an earlier superstep)");
+        }
+        auto& seen = covered[static_cast<std::size_t>(wait.peer)];
+        seen = std::max(seen, static_cast<long long>(wait.step));
+      }
+      for (auto k = static_cast<std::size_t>(rows_ptr[s]);
+           k < static_cast<std::size_t>(rows_ptr[s + 1]); ++k) {
+        const auto i = static_cast<std::size_t>(lists.verts[t][k]);
+        for (auto e = static_cast<std::size_t>(row_ptr[i]);
+             e < static_cast<std::size_t>(row_ptr[i + 1]); ++e) {
+          const auto j = static_cast<std::size_t>(col_idx[e]);
+          if (j == i) continue;
+          if (owner[j] < 0) {
+            return CheckResult::failure(
+                at("row", static_cast<long long>(j)) +
+                " is in no thread's list");
+          }
+          if (owner[j] == static_cast<long long>(t)) continue;
+          if (covered[static_cast<std::size_t>(owner[j])] < step_of[j]) {
+            return CheckResult::failure(
+                where + ": " + at("row", static_cast<long long>(i)) +
+                " reads " + at("row", static_cast<long long>(j)) + " of " +
+                at("thread", owner[j]) + " " + at("superstep", step_of[j]) +
+                " with no wait covering it");
+          }
+        }
+      }
+    }
+  }
+  return {};
+}
+
 CheckResult auditCoreGrants(std::span<const int> universe,
                             std::span<const std::vector<int>> live_grants) {
   std::unordered_set<int> pool(universe.begin(), universe.end());

@@ -7,16 +7,17 @@
 #include "core/schedule.hpp"
 #include "dag/dag.hpp"
 #include "exec/elastic.hpp"
+#include "exec/peer_waits.hpp"
 #include "exec/slab.hpp"
 #include "sparse/csr.hpp"
 
 /// \file check.hpp
 /// Deep invariant validators for the artifacts the pipeline hands between
 /// layers: schedules (Def. 2.1), fold rank maps, folded work lists, slab
-/// storage plans, and core-budget grants. Each validator re-derives the
-/// invariant from first principles — it shares no code with the
-/// construction it audits, so a bug in the builder cannot hide in the
-/// checker.
+/// storage plans, superstep peer-wait plans, and core-budget grants. Each
+/// validator re-derives the invariant from first principles — it shares
+/// no code with the construction it audits, so a bug in the builder
+/// cannot hide in the checker.
 ///
 /// Two ways in:
 ///
@@ -25,9 +26,10 @@
 ///    hand-crafted invalid inputs (which must be rejected).
 ///  * `STS_CHECKS=1` builds (-DSTS_CHECKS=ON) run them automatically at
 ///    every construction site — schedule analysis, folding, slab builds,
-///    core-grant accounting — and throw std::logic_error on violation.
-///    The hooks compile away entirely in default builds, same pattern as
-///    STS_TRACING; see docs/STATIC_ANALYSIS.md for the invariant table.
+///    peer-wait builds, core-grant accounting — and throw std::logic_error
+///    on violation. The hooks compile away entirely in default builds,
+///    same pattern as STS_TRACING; see docs/STATIC_ANALYSIS.md for the
+///    invariant table.
 #ifndef STS_CHECKS
 #define STS_CHECKS 0
 #endif
@@ -90,6 +92,19 @@ CheckResult validateFoldedLists(const exec::detail::FoldedLists& lists,
 CheckResult validateSlabPlan(const sparse::CsrMatrix& lower,
                              const exec::detail::FoldedLists& lists,
                              const exec::detail::SlabPlan& plan);
+
+/// A peer-wait plan enforces every cross-thread read of the row plan
+/// `lists` over `lower`:
+///  * one wait list per thread, step_ptr with the row plan's superstep
+///    count, monotone from 0 to the list size;
+///  * every wait (u, r) listed before thread t's superstep s names a peer
+///    u != t of the team and an EARLIER superstep r < s (so no two threads
+///    can wait on each other: the waits are deadlock-free);
+///  * coverage: for every row of (t, s) with a parent on thread u != t in
+///    superstep r, t lists a wait (u, r' >= r) at some superstep <= s.
+CheckResult validatePeerWaits(const sparse::CsrMatrix& lower,
+                              const exec::detail::FoldedLists& lists,
+                              const exec::detail::PeerWaits& waits);
 
 /// Core-set grant audit: every live grant's ids are distinct members of
 /// `universe`, and the grants are pairwise disjoint — the "never overlap"

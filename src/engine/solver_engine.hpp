@@ -41,7 +41,7 @@
 ///    single multi-RHS batch of up to `max_batch` columns, packed straight
 ///    into the solver's column tiles (exec/tile.hpp) and solved by one
 ///    solveTiles call: one
-///    schedule traversal — one barrier crossing per superstep — serves the
+///    schedule traversal — one synchronization per superstep — serves the
 ///    whole batch (the Table 7.7 block-parallel amortization applied to
 ///    serving). Column results are bitwise equal to individual solve()
 ///    calls, so coalescing is invisible to clients.

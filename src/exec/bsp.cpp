@@ -23,8 +23,10 @@ BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule)
   }
   rank_loads_ = detail::threadListLoads(full_.verts, full_.step_ptr,
                                         num_supersteps_, lower.rowPtr());
+  full_waits_ = detail::buildPeerWaits(lower, full_);
   folded_.init(num_threads_, &full_);
   slabs_.init(num_threads_);
+  waits_.init(num_threads_, &full_waits_);
 }
 
 const detail::FoldedLists& BspExecutor::foldedPlan(
@@ -47,18 +49,28 @@ const detail::SlabPlan& BspExecutor::slabPlan(int team,
       });
 }
 
+const detail::PeerWaits& BspExecutor::peerWaits(
+    int team, core::FoldPolicy policy) const {
+  return waits_.get(team, policy, [this](int t, core::FoldPolicy p) {
+    STS_TRACE_SPAN1("plan", "wait_build", "team", t);
+    return detail::buildPeerWaits(lower_, foldedPlan(t, p));
+  });
+}
+
 template <typename Kernel>
 void BspExecutor::walk(SolveContext& ctx, int team, core::FoldPolicy policy,
                        StorageKind storage, std::size_t tiles,
                        const Kernel& kernel, const char* who) const {
   detail::requireTeamSize(team, num_threads_, who);
   ctx.requireShape(team, lower_.rows(), who);
+  const detail::PeerWaits& waits = peerWaits(team, policy);
   if (storage == StorageKind::kSlab) {
     detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
-                                 slabPlan(team, policy), tiles, kernel);
+                                 slabPlan(team, policy), waits, tiles, kernel);
   } else {
     detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
-                                 foldedPlan(team, policy), tiles, kernel);
+                                 foldedPlan(team, policy), waits, tiles,
+                                 kernel);
   }
 }
 
@@ -153,28 +165,6 @@ detail::FoldedRanges foldRanges(const detail::FoldedRanges& full,
   return plan;
 }
 
-/// The row-list form of a range plan (the shape buildSlabPlan packs), in
-/// the exact range walk order.
-detail::FoldedLists rangeRowLists(const detail::FoldedRanges& plan) {
-  detail::FoldedLists lists;
-  lists.verts.resize(plan.runs.size());
-  lists.step_ptr.resize(plan.runs.size());
-  for (size_t q = 0; q < plan.runs.size(); ++q) {
-    auto& verts = lists.verts[q];
-    auto& ptr = lists.step_ptr[q];
-    ptr.push_back(0);
-    for (size_t k = 1; k < plan.step_ptr[q].size(); ++k) {
-      for (auto r = static_cast<size_t>(plan.step_ptr[q][k - 1]);
-           r < static_cast<size_t>(plan.step_ptr[q][k]); ++r) {
-        const auto [lo, hi] = plan.runs[q][r];
-        for (index_t i = lo; i < hi; ++i) verts.push_back(i);
-      }
-      ptr.push_back(static_cast<offset_t>(verts.size()));
-    }
-  }
-  return lists;
-}
-
 }  // namespace
 
 ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
@@ -209,8 +199,10 @@ ContiguousBspExecutor::ContiguousBspExecutor(const CsrMatrix& permuted_lower,
     if (lo < hi) runs.emplace_back(lo, hi);
     full_.step_ptr[g % cores].push_back(static_cast<offset_t>(runs.size()));
   }
+  full_waits_ = detail::buildPeerWaits(lower_, full_);
   folded_.init(num_threads_, &full_);
   slabs_.init(num_threads_);
+  waits_.init(num_threads_, &full_waits_);
 }
 
 const detail::FoldedRanges& ContiguousBspExecutor::foldedPlan(
@@ -230,8 +222,16 @@ const detail::SlabPlan& ContiguousBspExecutor::slabPlan(
   return detail::cachedSlabPlan(
       slabs_, lower_, num_threads_, team, policy,
       [this](int t, core::FoldPolicy p) {
-        return rangeRowLists(foldedPlan(t, p));
+        return detail::rowLists(foldedPlan(t, p));
       });
+}
+
+const detail::PeerWaits& ContiguousBspExecutor::peerWaits(
+    int team, core::FoldPolicy policy) const {
+  return waits_.get(team, policy, [this](int t, core::FoldPolicy p) {
+    STS_TRACE_SPAN1("plan", "wait_build", "team", t);
+    return detail::buildPeerWaits(lower_, foldedPlan(t, p));
+  });
 }
 
 template <typename Kernel>
@@ -241,12 +241,14 @@ void ContiguousBspExecutor::walk(SolveContext& ctx, int team,
                                  const char* who) const {
   detail::requireTeamSize(team, num_threads_, who);
   ctx.requireShape(team, lower_.rows(), who);
+  const detail::PeerWaits& waits = peerWaits(team, policy);
   if (storage == StorageKind::kSlab) {
     detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
-                                 slabPlan(team, policy), tiles, kernel);
+                                 slabPlan(team, policy), waits, tiles, kernel);
   } else {
     detail::TeamWalk::supersteps(ctx, team, num_supersteps_,
-                                 foldedPlan(team, policy), tiles, kernel);
+                                 foldedPlan(team, policy), waits, tiles,
+                                 kernel);
   }
 }
 

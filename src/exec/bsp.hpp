@@ -6,6 +6,7 @@
 
 #include "core/schedule.hpp"
 #include "exec/elastic.hpp"
+#include "exec/peer_waits.hpp"
 #include "exec/slab.hpp"
 #include "exec/solve_context.hpp"
 #include "exec/storage.hpp"
@@ -13,17 +14,20 @@
 #include "sparse/csr.hpp"
 
 /// \file bsp.hpp
-/// Barrier-synchronous SpTRSV executor: runs a validated Schedule with one
-/// spin barrier per superstep boundary (the execution model of §2.2).
-/// The per-thread work lists are precomputed at construction so that the
+/// Superstep-synchronous SpTRSV executor: runs a validated Schedule
+/// superstep by superstep (the execution model of §2.2). At each superstep
+/// boundary a thread waits only for the peers whose rows it reads next
+/// (peer_waits.hpp) instead of for the whole team. The per-thread work
+/// lists and their peer waits are precomputed at construction so that the
 /// hot solve path touches only flat arrays.
 ///
 /// Reentrancy contract (see solve_context.hpp): executors are immutable
-/// after construction; the only per-solve mutable state is the superstep
-/// barrier, which lives in the SolveContext. The context-taking overloads
-/// are `const` and safe to call concurrently as long as every concurrent
-/// solve uses its own context. The context-free overloads run on a shared
-/// built-in context and therefore remain one-solve-at-a-time.
+/// after construction; the only per-solve mutable state is the per-thread
+/// superstep progress words, which live in the SolveContext. The
+/// context-taking overloads are `const` and safe to call concurrently as
+/// long as every concurrent solve uses its own context. The context-free
+/// overloads run on a shared built-in context and therefore remain
+/// one-solve-at-a-time.
 ///
 /// Elasticity: every context-taking overload accepts a per-solve `team`
 /// size 1 <= team <= numThreads() and optionally a core::FoldPolicy
@@ -39,9 +43,12 @@
 /// (team, policy) and cached beside the folded lists. Both layouts run
 /// the identical arithmetic, so storage never changes results.
 ///
-/// Both executors run every solve through the one barrier-per-superstep
-/// walk of walk.hpp; only the plan (row lists or row ranges, or their
-/// slabs) and the row kernel (one RHS or one RHS column tile) differ.
+/// Both executors run every solve through the one superstep walk of
+/// walk.hpp; only the plan (row lists or row ranges, or their slabs, with
+/// the plan's peer waits) and the row kernel (one RHS or one RHS column
+/// tile) differ. Peer waits are cached per (team, policy) like the plans:
+/// the full-width waits are built at construction, folded ones with their
+/// folded plans.
 
 namespace sts::exec {
 
@@ -60,8 +67,8 @@ class BspExecutor {
 
   /// x = L^{-1} b on a `team`-thread OpenMP team (the schedule folded to
   /// `team` ranks under `policy`, walking the matrix through `storage`);
-  /// `ctx` carries the superstep barrier. Concurrent solves need distinct
-  /// contexts. Throws std::invalid_argument unless
+  /// `ctx` carries the superstep progress words. Concurrent solves need
+  /// distinct contexts. Throws std::invalid_argument unless
   /// 1 <= team <= numThreads().
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team, core::FoldPolicy policy,
@@ -78,8 +85,9 @@ class BspExecutor {
 
   /// Tiled SpTRSM: X = L^{-1} B with B and X packed as `layout` column
   /// tiles (tile.hpp; a single tile is the row-major n x nrhs matrix).
-  /// Each superstep runs its rows once per tile before the barrier — one
-  /// barrier per superstep regardless of tile count — so every column is
+  /// Each superstep runs its rows once per tile between its peer waits and
+  /// its progress store — one synchronization per superstep regardless of
+  /// tile count — so every column is
   /// bitwise equal to solve() on that column. The schedule is RHS-count
   /// agnostic: each vertex simply carries nrhs times the work.
   void solveTiles(std::span<const double> b, std::span<double> x,
@@ -107,6 +115,9 @@ class BspExecutor {
   /// The packed per-thread slab storage for (team, policy), built lazily
   /// from the folded lists and cached beside them.
   const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
+  /// The peer waits of the (team, policy) plan, built lazily from the
+  /// folded lists and cached beside them.
+  const detail::PeerWaits& peerWaits(int team, core::FoldPolicy policy) const;
   /// Checks (team, ctx) and runs the superstep walk of `kernel` over the
   /// (team, policy) plan in `storage`, `tiles` passes per superstep.
   template <typename Kernel>
@@ -123,8 +134,11 @@ class BspExecutor {
   /// Per-(superstep, rank) nnz loads of `full_` (superstep-major); feeds
   /// the kBinPack rank maps.
   std::vector<core::weight_t> rank_loads_;
+  /// The peer waits of `full_`; also the shared team == numThreads() waits.
+  detail::PeerWaits full_waits_;
   detail::TeamPlanCache<detail::FoldedLists> folded_;
   detail::TeamPlanCache<detail::SlabPlan> slabs_;
+  detail::TeamPlanCache<detail::PeerWaits> waits_;
   /// Backs the context-free overloads; mutable per-solve state only.
   mutable SolveContext default_ctx_;
 };
@@ -184,6 +198,8 @@ class ContiguousBspExecutor {
   /// Slab storage for (team, policy): the row ranges materialized as
   /// per-thread packed record streams (identical row order).
   const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
+  /// Same contract as BspExecutor::peerWaits.
+  const detail::PeerWaits& peerWaits(int team, core::FoldPolicy policy) const;
   /// Same contract as BspExecutor::walk.
   template <typename Kernel>
   void walk(SolveContext& ctx, int team, core::FoldPolicy policy,
@@ -199,8 +215,10 @@ class ContiguousBspExecutor {
   /// Per-(superstep, rank) nnz loads of the row ranges (superstep-major);
   /// feeds the kBinPack rank maps.
   std::vector<core::weight_t> rank_loads_;
+  detail::PeerWaits full_waits_;
   detail::TeamPlanCache<detail::FoldedRanges> folded_;
   detail::TeamPlanCache<detail::SlabPlan> slabs_;
+  detail::TeamPlanCache<detail::PeerWaits> waits_;
   mutable SolveContext default_ctx_;
 };
 

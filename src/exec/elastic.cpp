@@ -22,6 +22,26 @@ FoldedLists listsFromSchedule(const core::Schedule& schedule) {
   return lists;
 }
 
+FoldedLists rowLists(const FoldedRanges& plan) {
+  FoldedLists lists;
+  lists.verts.resize(plan.runs.size());
+  lists.step_ptr.resize(plan.runs.size());
+  for (std::size_t q = 0; q < plan.runs.size(); ++q) {
+    auto& verts = lists.verts[q];
+    auto& ptr = lists.step_ptr[q];
+    ptr.push_back(0);
+    for (std::size_t k = 1; k < plan.step_ptr[q].size(); ++k) {
+      for (auto r = static_cast<std::size_t>(plan.step_ptr[q][k - 1]);
+           r < static_cast<std::size_t>(plan.step_ptr[q][k]); ++r) {
+        const auto [lo, hi] = plan.runs[q][r];
+        for (sts::index_t i = lo; i < hi; ++i) verts.push_back(i);
+      }
+      ptr.push_back(static_cast<sts::offset_t>(verts.size()));
+    }
+  }
+  return lists;
+}
+
 FoldedLists foldThreadLists(
     const std::vector<std::vector<sts::index_t>>& verts,
     const std::vector<std::vector<sts::offset_t>>& step_ptr,

@@ -44,6 +44,10 @@ struct FoldedRanges {
   std::vector<std::vector<sts::offset_t>> step_ptr;
 };
 
+/// The row-list form of a range plan, in the exact range walk order (the
+/// shape buildSlabPlan packs and the check:: validators audit).
+FoldedLists rowLists(const FoldedRanges& plan);
+
 /// Folds `width`-thread work lists onto `team` threads by an explicit
 /// rank map (`rank_map[p]` = folded thread of original rank p, size
 /// `width`, values in [0, team)): folded thread q's superstep-s segment

@@ -120,7 +120,8 @@ class AlignedBytes {
 /// One thread's private storage: the packed record stream plus its
 /// superstep boundaries (records of superstep s are numbers
 /// [step_ptr[s], step_ptr[s+1]) in stream order — a copy of the folded
-/// work list's boundaries, so BSP walkers know where to barrier).
+/// work list's boundaries, so the superstep walk knows where its peer
+/// waits and progress stores go).
 struct SlabThread {
   AlignedBytes bytes;
   std::vector<sts::offset_t> step_ptr;

@@ -10,10 +10,12 @@
 namespace sts::exec {
 
 SolveContext::SolveContext(int num_threads, sts::index_t num_vertices)
-    : num_threads_(num_threads), n_(num_vertices), barrier_(num_threads) {
+    : num_threads_(num_threads), n_(num_vertices) {
   if (num_threads <= 0 || num_vertices < 0) {
     throw std::invalid_argument("SolveContext: bad shape");
   }
+  progress_ = std::make_unique<ProgressWord[]>(
+      static_cast<std::size_t>(num_threads));
 }
 
 void SolveContext::requireShape(int num_threads, sts::index_t num_vertices,

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "exec/spin_barrier.hpp"
 #include "sparse/types.hpp"
 
 /// \file solve_context.hpp
@@ -16,8 +15,9 @@
 ///
 /// The analysis phase (schedule + executor + permuted matrix) is built once
 /// and never mutated by a solve. Everything a solve *does* mutate — the
-/// superstep SpinBarrier, the P2P epoch-stamped completion flags, and the
-/// permutation scratch vectors — lives here. The contract is:
+/// superstep walk's per-thread progress words, the P2P epoch-stamped
+/// completion flags, and the permutation scratch vectors — lives here. The
+/// contract is:
 ///
 ///   * One SolveContext supports ONE solve at a time.
 ///   * N contexts permit N simultaneous solves against the same executor /
@@ -28,10 +28,12 @@
 ///     may use the context (elastic solves fold a wide schedule onto a
 ///     smaller team; see Schedule::foldTo) — while num_vertices must match
 ///     the executor exactly. Executors reject insufficient contexts.
-///   * Contexts are reusable across sequential solves (state resets are
-///     O(1) amortized: the barrier is sense-reversing, the P2P flags are
-///     epoch-stamped) and cheap to pool — `engine::SolverEngine` keeps a
-///     free list of them per registered solver.
+///   * Contexts are reusable across sequential solves with no reset: each
+///     superstep solve runs above a fresh 64-bit progress base (every word
+///     of an earlier solve is below it, and the base never wraps in
+///     practice), and the P2P flags are epoch-stamped. Contexts are cheap
+///     to pool — `engine::SolverEngine` keeps a free list of them per
+///     registered solver.
 ///   * A context may carry a PINNED CORE SET (setPinnedCores): while one is
 ///     set, OpenMP team member t of a solve on this context pins itself to
 ///     `cores[t % cores.size()]` for the duration of the parallel region
@@ -64,8 +66,9 @@ struct TeamWalk;
 class SolveContext {
  public:
   /// Shape-compatible with executors built for up to `num_threads` cores
-  /// over `num_vertices` rows. The barrier is ready immediately; the P2P
-  /// flag array and the permutation scratch are allocated on first use.
+  /// over `num_vertices` rows. The progress words are ready immediately;
+  /// the P2P flag array and the permutation scratch are allocated on first
+  /// use.
   SolveContext(int num_threads, sts::index_t num_vertices);
 
   SolveContext(const SolveContext&) = delete;
@@ -124,6 +127,16 @@ class SolveContext {
   void requireShape(int num_threads, sts::index_t num_vertices,
                     const char* who) const;
 
+  /// Starts a superstep solve of `steps` supersteps and returns its
+  /// progress base: team member t release-stores base + s + 1 into its
+  /// progress word after its superstep s. The next solve's base is
+  /// base + steps + 1, above every word this solve stores.
+  std::uint64_t beginSuperstepSolve(sts::index_t steps) {
+    const std::uint64_t base = step_base_;
+    step_base_ += static_cast<std::uint64_t>(steps) + 1;
+    return base;
+  }
+
   /// Starts a P2P solve: allocates the flag array on first use and returns
   /// the fresh epoch. On uint32 wraparound the flags are cleared and the
   /// epoch restarts at 1, so a stale `done_[v]` can never alias a future
@@ -140,7 +153,14 @@ class SolveContext {
 
   int num_threads_ = 0;
   sts::index_t n_ = 0;
-  SpinBarrier barrier_;
+
+  /// One superstep-progress word per team slot, each on its own cache line
+  /// so a member's store invalidates only its own waiters' copies.
+  struct alignas(64) ProgressWord {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::unique_ptr<ProgressWord[]> progress_;
+  std::uint64_t step_base_ = 0;
 
   /// Armed core set for pinned solves; empty = no pinning.
   std::vector<int> pin_cores_;

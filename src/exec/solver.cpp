@@ -153,7 +153,7 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   // The lossless clamp: schedules keep their analyzed width (folding
   // re-targets them to any t <= numThreads() at solve time), but the
   // default execution team never exceeds the machine — oversubscribed
-  // barrier waiters would otherwise yield-spin against absent cores.
+  // superstep waiters would otherwise yield-spin against absent cores.
   const auto hw = static_cast<int>(std::thread::hardware_concurrency());
   solver.default_team_ =
       hw > 0 ? std::min(solver.exec_threads_, hw) : solver.exec_threads_;

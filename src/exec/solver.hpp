@@ -52,7 +52,8 @@
 /// full-width solve for every team size and scheduler kind. Overloads
 /// without an explicit team run at defaultTeam(): numThreads() clamped to
 /// the host's hardware concurrency, so analyzing for more threads than the
-/// machine has no longer yield-spins barrier waiters against absent cores.
+/// machine has no longer yield-spins superstep waiters against absent
+/// cores.
 /// Values of `threads` above numThreads() clamp to numThreads(); values
 /// below 1 throw std::invalid_argument.
 ///
@@ -106,7 +107,7 @@ struct SolverOptions {
   /// Width the schedule is analyzed for. May exceed the machine: execution
   /// clamps the *default* team to hardware_concurrency() (see
   /// TriangularSolver::defaultTeam) by folding, which is lossless, so an
-  /// oversubscribed analysis no longer yield-spins barrier waiters against
+  /// oversubscribed analysis no longer yield-spins superstep waiters against
   /// absent cores.
   int num_threads = 2;
   /// Apply the §5 locality reordering (recommended; GrowLocal's headline
@@ -175,7 +176,7 @@ class TriangularSolver {
 
   /// X = T^{-1} B for nrhs right-hand sides, b and x row-major n x nrhs in
   /// the ORIGINAL row ordering. One schedule traversal serves all nrhs
-  /// solves, amortizing every barrier/flag crossing (Table 7.7's
+  /// solves, amortizing every superstep/flag wait (Table 7.7's
   /// block-parallel idea); column c of X is bitwise equal to solve() on
   /// column c of B. The solve runs on the cache-sized column tiles of
   /// tileLayout(nrhs), with the permutation and the tile packing fused

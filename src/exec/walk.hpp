@@ -9,9 +9,11 @@
 
 #include "exec/affinity.hpp"
 #include "exec/elastic.hpp"
+#include "exec/peer_waits.hpp"
 #include "exec/row_kernels.hpp"
 #include "exec/slab.hpp"
 #include "exec/solve_context.hpp"
+#include "exec/spin_wait.hpp"
 #include "exec/tile.hpp"
 #include "fault/failpoint.hpp"
 #include "obs/trace.hpp"
@@ -20,9 +22,10 @@
 /// \file walk.hpp
 /// The two OpenMP team regions of the exact executors — the execution
 /// model of §2.2 written once. Each thread walks its rows superstep by
-/// superstep; the superstep walk crosses one barrier per boundary
-/// (BspExecutor, ContiguousBspExecutor), the P2P walk replaces the barrier
-/// by per-row completion-flag waits (P2pExecutor, SpMP-style).
+/// superstep; the superstep walk waits, per boundary, only for the peers
+/// its next superstep reads from (BspExecutor, ContiguousBspExecutor;
+/// peer_waits.hpp), the P2P walk waits per row on completion flags
+/// (P2pExecutor, SpMP-style). No team barrier is crossed inside either.
 ///
 /// A walk is instantiated with
 ///   * a PLAN — the per-thread rows of one (team, fold policy): a row list
@@ -161,8 +164,7 @@ struct WaitLists {
 /// with worker writes. Each thread's final completion-flag store is a
 /// release covering all of its x writes; acquiring those flags here — they
 /// are already set, so the loops do not spin — rebuilds the same edge in
-/// TSan's model. The superstep walk needs no equivalent: its last
-/// superstep ends on SpinBarrier, whose atomics TSan sees.
+/// TSan's model. The superstep walk does the same on its progress words.
 inline void acquireTeamWrites(const FoldedLists& order,
                               const std::atomic<std::uint32_t>* done,
                               std::uint32_t epoch) {
@@ -176,17 +178,21 @@ inline void acquireTeamWrites(const FoldedLists& order,
 
 /// The two walks. A struct so SolveContext can befriend both at once.
 struct TeamWalk {
-  /// Barrier-per-superstep walk on a `team`-thread team: per superstep,
-  /// each thread runs its rows once per RHS tile (tiles 0 .. tiles - 1),
-  /// then crosses the barrier — one barrier per superstep whatever the
-  /// tile count, none at all when team == 1.
+  /// Superstep walk on a `team`-thread team: before its superstep-s rows,
+  /// thread t spins until each peer u its `waits` list for s names has
+  /// finished the listed superstep r (progress word >= base + r + 1); it
+  /// then runs its rows once per RHS tile (tiles 0 .. tiles - 1) and
+  /// release-stores base + s + 1 into its own word. The waits are per
+  /// superstep whatever the tile count; a team of 1 neither waits nor
+  /// stores.
   template <typename Plan, typename Kernel>
   static void supersteps(SolveContext& ctx, int team, index_t steps,
-                         const Plan& plan, std::size_t tiles,
-                         const Kernel& kernel) {
+                         const Plan& plan, const PeerWaits& waits,
+                         std::size_t tiles, const Kernel& kernel) {
     const bool sync = team > 1;
+    const std::uint64_t base = ctx.beginSuperstepSolve(steps);
+    SolveContext::ProgressWord* const progress = ctx.progress_.get();
     const std::span<const int> pin_set = ctx.pinnedCores();
-    SpinBarrier& barrier = ctx.barrier_;
     omp_set_dynamic(0);
 #pragma omp parallel num_threads(team)
     {
@@ -194,22 +200,51 @@ struct TeamWalk {
       const ScopedPin pin(pin_set, t);
       ctx.notePin(pin);
       obs::StepTracer tracer(ctx.trace());
-      int sense = barrier.initialSense();
       const Kernel row_kernel = kernel;
       auto rows = threadRows(plan, t);
+      const PeerWait* const wait =
+          waits.waits[static_cast<std::size_t>(t)].data();
+      const offset_t* const wait_ptr =
+          waits.step_ptr[static_cast<std::size_t>(t)].data();
+      std::atomic<std::uint64_t>& mine = progress[t].value;
       for (index_t s = 0; s < steps; ++s) {
+        if (sync) {
+          const offset_t end = wait_ptr[static_cast<std::size_t>(s) + 1];
+          for (offset_t k = wait_ptr[static_cast<std::size_t>(s)]; k < end;
+               ++k) {
+            const PeerWait w = wait[static_cast<std::size_t>(k)];
+            const std::atomic<std::uint64_t>& word = progress[w.peer].value;
+            const std::uint64_t target =
+                base + static_cast<std::uint64_t>(w.step) + 1;
+            spinUntil([&] {
+              return word.load(std::memory_order_acquire) >= target;
+            });
+          }
+          tracer.waitDone(static_cast<std::uint64_t>(s));
+        }
         for (std::size_t tile = 0; tile < tiles; ++tile) {
           rows.forEach(s, [&](const auto& row) { row_kernel(row, tile); });
         }
         rows.endStep();
         // Superstep latency-spike failpoint (delay actions only: a throw
         // escaping this omp region would terminate). A rank-filtered
-        // delay here models a straggler thread stretching every barrier.
+        // delay here models a straggler thread: it stretches only the
+        // threads that depend on it, those whose peer waits name this
+        // superstep of this rank or a later one.
         STS_FAILPOINT_RANK("exec.superstep", t);
         tracer.computeDone(static_cast<std::uint64_t>(s));
         if (sync) {
-          barrier.wait(sense, team);
-          tracer.waitDone(static_cast<std::uint64_t>(s));
+          mine.store(base + static_cast<std::uint64_t>(s) + 1,
+                     std::memory_order_release);
+        }
+      }
+    }
+    // The join edge, as acquireTeamWrites: each member's last progress
+    // store is a release covering all of its x writes.
+    if (sync && steps > 0) {
+      const std::uint64_t done = base + static_cast<std::uint64_t>(steps);
+      for (int t = 0; t < team; ++t) {
+        while (progress[t].value.load(std::memory_order_acquire) < done) {
         }
       }
     }

@@ -34,7 +34,7 @@
 ///   * `SolveTrace` / `StepTracer` — the always-available (session or
 ///     not) per-solve compute-vs-wait attribution the engine aggregates
 ///     into `SolverEngine::traceSummary()`: each executor thread batches
-///     its per-superstep compute and barrier/p2p-wait nanoseconds locally
+///     its per-superstep compute and superstep/p2p-wait nanoseconds locally
 ///     and flushes them into the armed `SolveTrace` once per region.
 ///
 /// ## Event taxonomy (docs/OBSERVABILITY.md has the full table)
@@ -43,8 +43,9 @@
 /// `coalesce` → `lease` → `pack` → `solve` → `unpack` → `batch_done`,
 /// plus `pin` instants (one per team member) and `slo_step` controller
 /// decisions. Plan construction (category "plan"): `analyze`,
-/// `fold_build`, `slab_build`, `seed_probe`. Hot loop (category "exec"):
-/// per-superstep `compute` and `barrier_wait` spans per OpenMP thread;
+/// `fold_build`, `slab_build`, `wait_build`, `seed_probe`. Hot loop
+/// (category "exec"): per-superstep `step_wait` and `compute` spans per
+/// OpenMP thread;
 /// `p2p_wait` spans for long cross-thread spins.
 ///
 /// ## Threading contract
@@ -299,9 +300,9 @@ class ScopedSpan {
 struct SolveTrace {
   std::atomic<std::uint64_t> compute_ns{0};
   std::atomic<std::uint64_t> wait_ns{0};
-  /// (superstep, thread) pairs accumulated — BSP barrier crossings.
+  /// (superstep, thread) pairs accumulated — superstep boundaries walked.
   std::atomic<std::uint64_t> thread_steps{0};
-  /// Longest single barrier/p2p wait observed (straggler signal).
+  /// Longest single superstep/p2p wait observed (straggler signal).
   std::atomic<std::uint64_t> max_wait_ns{0};
 
   void add(std::uint64_t compute, std::uint64_t wait, std::uint64_t steps,
@@ -338,7 +339,8 @@ class StepTracer {
     }
   }
 
-  /// BSP: the superstep's rows are computed; the barrier is next.
+  /// Superstep walk: the superstep's rows are computed; its progress store
+  /// and the next superstep's peer waits are next.
   void computeDone(std::uint64_t step) {
     if (!enabled_) return;
     const std::uint64_t now = nowNanos();
@@ -351,13 +353,14 @@ class StepTracer {
     t_ = now;
   }
 
-  /// BSP: the superstep's barrier was crossed.
+  /// Superstep walk: the superstep's peer waits resolved; its rows are
+  /// next.
   void waitDone(std::uint64_t step) {
     if (!enabled_) return;
     const std::uint64_t now = nowNanos();
     const std::uint64_t w = now - t_;
     if (ring_ != nullptr) {
-      ring_->emit({t_, w, "exec", "barrier_wait", "step", step, nullptr, 0,
+      ring_->emit({t_, w, "exec", "step_wait", "step", step, nullptr, 0,
                    EventKind::kSpan});
     }
     wait_ns_ += w;

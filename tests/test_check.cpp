@@ -10,6 +10,7 @@
 #include "datagen/grids.hpp"
 #include "datagen/random_matrices.hpp"
 #include "exec/elastic.hpp"
+#include "exec/peer_waits.hpp"
 #include "exec/slab.hpp"
 #include "exec/solver.hpp"
 
@@ -17,10 +18,11 @@
 /// The invariant validators (src/check/) from both sides of the contract:
 /// every shipped construction path — all schedulers, both fold policies,
 /// both storage artifacts (folded work lists for shared-CSR, slab plans
-/// for slab storage) — validates clean, and hand-crafted violations of
-/// each invariant are rejected with a diagnostic naming the offender.
-/// The rejection tests are the interesting half: a validator that accepts
-/// everything also "passes" the clean sweep.
+/// for slab storage) and the superstep walk's peer waits — validates
+/// clean, and hand-crafted violations of each invariant are rejected with
+/// a diagnostic naming the offender. The rejection tests are the
+/// interesting half: a validator that accepts everything also "passes" the
+/// clean sweep.
 
 namespace sts {
 namespace {
@@ -247,6 +249,61 @@ TEST(CheckSlabPlan, AcceptsAFreshBuildThenRejectsCorruption) {
   }
 }
 
+// ------------------------------------------------------- peer-wait audit
+
+TEST(CheckPeerWaits, AcceptsAFreshBuildThenRejectsCorruption) {
+  const auto lower = datagen::erdosRenyiLower({.n = 160, .p = 3e-2,
+                                               .seed = 11});
+  SolverOptions opts;
+  opts.scheduler = SchedulerKind::kBspList;
+  opts.num_threads = 4;
+  opts.reorder = false;
+  const auto solver = TriangularSolver::analyze(lower, opts);
+  const FoldedLists lists = fullLists(solver.schedule());
+  const auto waits = exec::detail::buildPeerWaits(lower, lists);
+  {
+    const auto result = check::validatePeerWaits(lower, lists, waits);
+    ASSERT_TRUE(result.ok) << result.message;
+  }
+
+  // The first listed wait of any thread.
+  std::size_t thread = 0;
+  while (thread < waits.waits.size() && waits.waits[thread].empty()) ++thread;
+  ASSERT_LT(thread, waits.waits.size()) << "no cross-thread read to drop";
+
+  {
+    // One wait dropped: that thread now reads a peer's row unsynchronized.
+    auto dropped = waits;
+    auto& list = dropped.waits[thread];
+    list.erase(list.begin());
+    for (auto& end : dropped.step_ptr[thread]) {
+      if (end > 0) --end;
+    }
+    const auto result = check::validatePeerWaits(lower, lists, dropped);
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.message.find("no wait covering it"), std::string::npos)
+        << result.message;
+  }
+
+  {
+    // A wait on a superstep that has not finished yet (its own): could
+    // deadlock two threads waiting on each other.
+    auto same_step = waits;
+    auto& ptr = same_step.step_ptr[thread];
+    std::size_t s = 0;
+    while (ptr[s + 1] == 0) ++s;
+    same_step.waits[thread][0].step = static_cast<index_t>(s);
+    EXPECT_FALSE(check::validatePeerWaits(lower, lists, same_step).ok);
+  }
+
+  {
+    // A wait on the waiting thread itself.
+    auto self = waits;
+    self.waits[thread][0].peer = static_cast<int>(thread);
+    EXPECT_FALSE(check::validatePeerWaits(lower, lists, self).ok);
+  }
+}
+
 // --------------------------------------------------------- core-grant audit
 
 TEST(CheckCoreGrants, RejectsOverlapForeignAndDuplicateCores) {
@@ -273,9 +330,10 @@ TEST(CheckCoreGrants, RejectsOverlapForeignAndDuplicateCores) {
 /// Every shipped scheduler × both fold policies × every team size, audited
 /// at every pipeline stage: the analyzed schedule (Def. 2.1), the folded
 /// schedule, the fold rank map (bijectivity), the folded work lists (the
-/// shared-CSR execution artifact), and the slab plan (the slab-storage
-/// artifact). This is the positive half of the contract; STS_CHECKS=ON
-/// builds run the same validators inside the construction paths.
+/// shared-CSR execution artifact), the slab plan (the slab-storage
+/// artifact), and the superstep walk's peer waits. This is the positive
+/// half of the contract; STS_CHECKS=ON builds run the same validators
+/// inside the construction paths.
 TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndStorageArtifacts) {
   const std::vector<sparse::CsrMatrix> matrices = {
       datagen::grid2dLaplacian5(8, 8).lowerTriangle(),
@@ -330,6 +388,12 @@ TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndStorageArtifacts) {
           const auto plan = exec::detail::buildSlabPlan(lower, folded_lists);
           result = check::validateSlabPlan(lower, folded_lists, plan);
           ASSERT_TRUE(result.ok) << where << ": " << result.message;
+
+          const auto waits =
+              exec::detail::buildPeerWaits(lower, folded_lists);
+          result = check::validatePeerWaits(lower, folded_lists, waits);
+          ASSERT_TRUE(result.ok) << where << " peer waits at team " << team
+                                 << ": " << result.message;
         }
       }
     }

@@ -4,8 +4,13 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#include "baselines/bsplist.hpp"
+#include "baselines/hdagg.hpp"
 #include "baselines/spmp.hpp"
 #include "baselines/wavefront.hpp"
 #include "core/growlocal.hpp"
@@ -105,17 +110,67 @@ TEST(BspExecutor, BitIdenticalToSerialOnZoo) {
   }
 }
 
+baselines::HdaggOptions hdaggOptions(int cores) {
+  baselines::HdaggOptions opts;
+  opts.num_cores = cores;
+  return opts;
+}
+
+/// Solves alternating right-hand sides b[0], b[1], b[0], ... into ONE x
+/// buffer on `ctx` and checks each against the serial reference bitwise.
+/// The row kernel reads x in place, so a missing superstep wait reads the
+/// previous solve's value of a parent — the other right-hand side's — and
+/// fails; with one right-hand side the stale value would already be right.
+template <typename Exec>
+void expectAlternatingSolvesExact(const Exec& exec, const CsrMatrix& lower,
+                                  const std::string& where) {
+  std::vector<std::vector<double>> b, expected;
+  for (int k = 0; k < 2; ++k) {
+    b.push_back(rhsFor(lower, referenceSolution(lower.rows(), 83 + k)));
+    expected.emplace_back(b.back().size());
+    solveLowerSerial(lower, b.back(), expected.back());
+  }
+  auto ctx = exec.createContext();
+  std::vector<double> x(b[0].size(), 0.0);
+  for (const int team : {2, 3, 4}) {
+    for (const auto policy :
+         {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+      for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+        for (int rep = 0; rep < 6; ++rep) {
+          exec.solve(b[rep % 2], x, *ctx, team, policy, storage);
+          ASSERT_EQ(x, expected[rep % 2])
+              << where << " team " << team << " policy "
+              << static_cast<int>(policy) << " storage "
+              << static_cast<int>(storage) << " solve " << rep;
+        }
+      }
+    }
+  }
+}
+
 TEST(BspExecutor, RepeatedSolvesAreStable) {
-  const auto lower = datagen::erdosRenyiLower({.n = 600, .p = 5e-3, .seed = 82});
-  const Dag d = Dag::fromLowerTriangular(lower);
-  const Schedule s = core::growLocalSchedule(d, {.num_cores = 2});
-  const BspExecutor exec(lower, s);
-  const auto x_true = referenceSolution(lower.rows(), 83);
-  const auto b = rhsFor(lower, x_true);
-  std::vector<double> x1(b.size(), 0.0), x2(b.size(), 1.0);
-  exec.solve(b, x1);
-  exec.solve(b, x2);
-  EXPECT_EQ(x1, x2);
+  const std::vector<std::pair<std::string, CsrMatrix>> matrices = {
+      {"grid", datagen::grid2dLaplacian5(24, 24).lowerTriangle()},
+      {"er", datagen::erdosRenyiLower({.n = 600, .p = 5e-3, .seed = 82})},
+  };
+  for (const auto& [name, lower] : matrices) {
+    const Dag d = Dag::fromLowerTriangular(lower);
+    const Schedule gl = core::growLocalSchedule(d, {.num_cores = 4});
+    const std::pair<std::string, Schedule> schedules[] = {
+        {"GrowLocal", gl},
+        {"HDagg", baselines::hdaggSchedule(d, hdaggOptions(4))},
+        {"BSPg", baselines::bspListSchedule(d, {.num_cores = 4})},
+    };
+    for (const auto& [kind, sched] : schedules) {
+      expectAlternatingSolvesExact(BspExecutor(lower, sched), lower,
+                                   name + " " + kind);
+    }
+    const core::ReorderedProblem problem = core::reorderForLocality(lower, gl);
+    expectAlternatingSolvesExact(
+        ContiguousBspExecutor(problem.matrix, problem.num_supersteps,
+                              problem.num_cores, problem.group_ptr),
+        problem.matrix, name + " GrowLocal contiguous");
+  }
 }
 
 TEST(P2pExecutor, MatchesSerialWithFullSyncDag) {
@@ -295,6 +350,36 @@ TEST(P2pExecutor, TeamPinnedToOneCpuYieldsToProducers) {
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - t0;
   EXPECT_LT(elapsed.count(), 5.0);
+}
+
+/// The superstep walk's peer waits on one CPU: a waiter must yield to
+/// the descheduled peer whose progress it waits for, as in the P2P test
+/// above.
+TEST(BspExecutor, TeamPinnedToOneCpuYieldsToProducers) {
+  if (!affinitySupported()) GTEST_SKIP() << "no affinity support";
+  const auto lower = datagen::grid2dLaplacian5(120, 120).lowerTriangle();
+  const Dag d = Dag::fromLowerTriangular(lower);
+  const auto b = rhsFor(lower, referenceSolution(lower.rows(), 99));
+  std::vector<double> expected(b.size());
+  solveLowerSerial(lower, b, expected);
+  const std::pair<const char*, Schedule> schedules[] = {
+      {"GrowLocal", core::growLocalSchedule(d, {.num_cores = 2})},
+      {"HDagg", baselines::hdaggSchedule(d, hdaggOptions(2))},
+  };
+  for (const auto& [kind, sched] : schedules) {
+    const BspExecutor exec(lower, sched);
+    auto ctx = exec.createContext();
+    ctx->setPinnedCores({0});
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int rep = 0; rep < 20; ++rep) {
+      std::vector<double> x(b.size());
+      exec.solve(b, x, *ctx, 2);
+      ASSERT_EQ(x, expected) << kind << " solve " << rep;
+    }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(elapsed.count(), 5.0) << kind;
+  }
 }
 
 TEST(BspExecutor, MultiRhsMatchesSingleSolvesBitwise) {

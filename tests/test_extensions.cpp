@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
-#include <thread>
-
 #include "core/growlocal.hpp"
 #include "core/schedule.hpp"
 #include "dag/dag.hpp"
@@ -11,7 +7,6 @@
 #include "exec/bsp.hpp"
 #include "exec/serial.hpp"
 #include "exec/solver.hpp"
-#include "exec/spin_barrier.hpp"
 #include "exec/verify.hpp"
 #include "sparse/permute.hpp"
 #include "test_util.hpp"
@@ -71,38 +66,6 @@ TEST(CoalesceSupersteps, PreservesValidityOnZoo) {
     EXPECT_TRUE(v.ok) << name << ": " << v.message;
     EXPECT_LE(merged.numSupersteps(), raw.numSupersteps()) << name;
   }
-}
-
-TEST(SpinBarrier, SynchronizesCounters) {
-  // Each thread increments a per-phase counter; after the barrier, every
-  // thread must observe all increments of the phase.
-  const int threads = 2;
-  const int phases = 2000;
-  exec::SpinBarrier barrier(threads);
-  std::vector<int> counter(static_cast<size_t>(phases), 0);
-  bool ok = true;
-#pragma omp parallel num_threads(threads) reduction(&& : ok)
-  {
-    int sense = barrier.initialSense();
-    for (int p = 0; p < phases; ++p) {
-#pragma omp atomic
-      ++counter[static_cast<size_t>(p)];
-      barrier.wait(sense);
-      int seen = 0;
-#pragma omp atomic read
-      seen = counter[static_cast<size_t>(p)];
-      ok = ok && (seen == threads);
-      barrier.wait(sense);
-    }
-  }
-  EXPECT_TRUE(ok);
-}
-
-TEST(SpinBarrier, SingleThreadNoop) {
-  exec::SpinBarrier barrier(1);
-  int sense = barrier.initialSense();
-  for (int i = 0; i < 10; ++i) barrier.wait(sense);
-  SUCCEED();
 }
 
 TEST(SolvePermuted, ConsistentWithTransparentSolve) {

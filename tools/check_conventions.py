@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific convention lints that clang-tidy cannot express.
 
-Five rules, each encoding a contract documented in docs/ (violations have
+Six rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
@@ -14,6 +14,13 @@ bitten or would bite silently — none of them is a style preference):
       overlap cores again); one without the tracer makes that region
       invisible to compute/wait attribution. Analysis-time `parallel for`
       loops are exempt (no solve region, no per-thread state).
+
+  one-sync-path
+      src/exec/ synchronizes a superstep walk only through per-thread
+      progress words and spinUntil (exec/walk.hpp, exec/spin_wait.hpp):
+      no `SpinBarrier` and no `#pragma omp barrier`. A team barrier beside
+      the peer waits would be a second sync path that makes every thread
+      wait for the whole team again.
 
   trace-arg-purity
       No side-effecting expressions (++/--/assignment) inside STS_TRACE_*
@@ -67,6 +74,9 @@ OMP_WINDOW = 15
 # The only src/exec file allowed to open a team region (the walkers),
 # relative to src/.
 OMP_REGION_FILES = ("exec/walk.hpp",)
+
+# Team-wide synchronization the superstep walk replaced by peer waits.
+TEAM_BARRIER = re.compile(r"\bSpinBarrier\b|#\s*pragma\s+omp\s+barrier\b")
 
 TRACE_MACROS = ("STS_TRACE_SPAN", "STS_TRACE_SPAN1", "STS_TRACE_SPAN_AT",
                 "STS_TRACE_INSTANT")
@@ -165,6 +175,18 @@ def check_omp_regions(path: Path, lines: list[str]) -> list[str]:
                 f"{path.relative_to(REPO)}:{idx + 1}: omp-region-discipline: "
                 f"parallel region lacks {' and '.join(missing)} within "
                 f"{OMP_WINDOW} lines")
+    return errors
+
+
+def check_sync_path(path: Path, lines: list[str]) -> list[str]:
+    errors = []
+    for idx, line in enumerate(lines):
+        hit = TEAM_BARRIER.search(strip_comments_and_strings(line))
+        if hit:
+            errors.append(
+                f"{path.relative_to(REPO)}:{idx + 1}: one-sync-path: "
+                f"'{hit.group(0)}' in src/exec; a superstep walk waits only "
+                f"on its peers' progress words (exec/walk.hpp)")
     return errors
 
 
@@ -279,6 +301,7 @@ def run(paths: list[Path]) -> list[str]:
         lines = path.read_text(encoding="utf-8").splitlines()
         if path.is_relative_to(SRC / "exec"):
             errors += check_omp_regions(path, lines)
+            errors += check_sync_path(path, lines)
         errors += check_trace_args(path, lines)
         errors += check_includes(path, lines)
         errors += check_lock_discipline(path, lines)
@@ -331,6 +354,19 @@ FIXTURES = [
     obs::StepTracer tracer(sink);
   }
 """, "omp-region-discipline"),
+    ("SpinBarrier in the walker", "src/exec/walk.hpp", """
+#pragma once
+SpinBarrier& barrier = ctx.barrier_;
+""", "one-sync-path"),
+    ("omp barrier in an executor", "src/exec/bsp.cpp", """
+#pragma omp barrier
+""", "one-sync-path"),
+    ("barrier named only in a comment passes", "src/exec/fix.cpp", """
+// Replaces the SpinBarrier; no #pragma omp barrier here.
+""", None),
+    ("SpinBarrier outside src/exec passes", "src/harness/fix.cpp", """
+SpinBarrier barrier(2);
+""", None),
     ("omp parallel for is exempt", "src/exec/fix.cpp", """
 #pragma omp parallel for schedule(dynamic, 1)
   for (int i = 0; i < n; ++i) work(i);
