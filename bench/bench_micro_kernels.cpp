@@ -55,10 +55,11 @@ void BM_BspSolve(benchmark::State& state) {
   const auto schedule = core::growLocalSchedule(
       benchDag(), {.num_cores = static_cast<int>(state.range(0))});
   const exec::BspExecutor executor(lower, schedule);
+  auto ctx = executor.createContext();
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz());
@@ -90,7 +91,7 @@ void BM_BspSolveTraced(benchmark::State& state, bool armed, bool session) {
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x, *ctx);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   if (trace != nullptr) trace->stop();
@@ -124,14 +125,13 @@ void BM_ContiguousSolve(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto schedule = core::growLocalSchedule(benchDag(), {.num_cores = 2});
   auto problem = core::reorderForLocality(lower, schedule);
-  const exec::ContiguousBspExecutor executor(problem.matrix,
-                                             problem.num_supersteps,
-                                             problem.num_cores,
-                                             problem.group_ptr);
+  const exec::BspExecutor executor(problem.matrix, problem.num_supersteps,
+                                   problem.num_cores, problem.group_ptr);
+  auto ctx = executor.createContext();
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz());
@@ -141,11 +141,12 @@ BENCHMARK(BM_ContiguousSolve);
 void BM_P2pSolve(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto spmp = baselines::spmpSchedule(benchDag(), {.num_cores = 2});
-  exec::P2pExecutor executor(lower, spmp.schedule, spmp.reduced_dag);
+  const exec::P2pExecutor executor(lower, spmp.schedule, spmp.reduced_dag);
+  auto ctx = executor.createContext();
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
-    executor.solve(b, x);
+    executor.solve(b, x, *ctx, executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz());
@@ -181,14 +182,15 @@ void BM_MultiRhsKernelBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiRhsKernelBlocked)->Arg(4)->Arg(8);
 
-/// End-to-end storage ablation on one executor: the full multi-RHS solve
-/// (one n x nrhs tile) through the shared CSR vs the thread-local slab
-/// (layout + prefetch); Arg = nrhs.
+/// End-to-end storage ablation: the full multi-RHS solve (one n x nrhs
+/// tile) on one executor built per storage, through the shared CSR vs the
+/// thread-local slab (layout + prefetch); Arg = nrhs.
 void BM_BspSolveMultiStorage(benchmark::State& state,
                              exec::StorageKind storage) {
   const auto& lower = benchMatrix();
   const auto schedule = core::growLocalSchedule(benchDag(), {.num_cores = 2});
-  const exec::BspExecutor executor(lower, schedule);
+  const exec::BspExecutor executor(lower, schedule,
+                                   core::FoldPolicy::kModulo, storage);
   auto ctx = executor.createContext();
   const auto r = static_cast<index_t>(state.range(0));
   const std::vector<double> b(
@@ -196,8 +198,7 @@ void BM_BspSolveMultiStorage(benchmark::State& state,
   std::vector<double> x(b.size(), 0.0);
   for (auto _ : state) {
     executor.solveTiles(b, x, exec::TileLayout(lower.rows(), r, r), *ctx,
-                        executor.numThreads(), core::FoldPolicy::kModulo,
-                        storage);
+                        executor.numThreads());
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz() *

@@ -55,14 +55,14 @@ struct Row {
 
 double timeSolves(const TriangularSolver& solver, exec::SolveContext& ctx,
                   std::span<const double> b, std::span<double> x,
-                  index_t nrhs, int team, StorageKind storage, int reps) {
+                  index_t nrhs, int team, int reps) {
   using Clock = std::chrono::high_resolution_clock;
   std::vector<double> seconds;
   seconds.reserve(static_cast<size_t>(reps));
   for (int pass = 0; pass < reps; ++pass) {
     const auto t0 = Clock::now();
     solver.solveTiles(b, x, TileLayout(solver.numRows(), nrhs, nrhs), ctx,
-                      team, solver.options().fold_policy, storage);
+                      team);
     seconds.push_back(
         std::chrono::duration<double>(Clock::now() - t0).count());
   }
@@ -132,9 +132,13 @@ int main() {
     const auto& entry = entries[e];
     const auto n = static_cast<size_t>(entry.lower.rows());
     for (const auto& config : configs) {
-      const auto solver = TriangularSolver::analyze(entry.lower,
+      // One solver analyzed per storage: storage is an analysis setting.
+      SolverOptions slab_options = config.options;
+      slab_options.storage = StorageKind::kSlab;
+      const auto shared = TriangularSolver::analyze(entry.lower,
                                                     config.options);
-      auto ctx = solver.createContext();
+      const auto slab = TriangularSolver::analyze(entry.lower, slab_options);
+      auto ctx = shared.createContext();
       for (const int team : teams) {
         for (const index_t nrhs : nrhs_sweep) {
           const auto r = static_cast<size_t>(nrhs);
@@ -146,12 +150,9 @@ int main() {
           std::vector<double> x_slab(b.size());
           // Warmup pass per storage also pays the one-time plan/slab
           // builds outside the timed region (the amortized regime).
-          const TileLayout one_tile(solver.numRows(), nrhs, nrhs);
-          solver.solveTiles(b, x_shared, one_tile, *ctx, team,
-                            solver.options().fold_policy,
-                            StorageKind::kSharedCsr);
-          solver.solveTiles(b, x_slab, one_tile, *ctx, team,
-                            solver.options().fold_policy, StorageKind::kSlab);
+          const TileLayout one_tile(shared.numRows(), nrhs, nrhs);
+          shared.solveTiles(b, x_shared, one_tile, *ctx, team);
+          slab.solveTiles(b, x_slab, one_tile, *ctx, team);
           if (x_shared != x_slab) bitwise_ok = false;
 
           Row row;
@@ -160,11 +161,10 @@ int main() {
           row.executor = config.name;
           row.team = team;
           row.nrhs = nrhs;
-          row.shared_seconds = timeSolves(solver, *ctx, b, x_shared, nrhs,
-                                          team, StorageKind::kSharedCsr,
-                                          reps);
-          row.slab_seconds = timeSolves(solver, *ctx, b, x_slab, nrhs, team,
-                                        StorageKind::kSlab, reps);
+          row.shared_seconds =
+              timeSolves(shared, *ctx, b, x_shared, nrhs, team, reps);
+          row.slab_seconds =
+              timeSolves(slab, *ctx, b, x_slab, nrhs, team, reps);
           if (x_shared != x_slab) bitwise_ok = false;
           row.slab_speedup = row.slab_seconds > 0.0
                                  ? row.shared_seconds / row.slab_seconds

@@ -68,15 +68,13 @@ struct Row {
 /// Median seconds of `reps` solveTiles passes on pre-packed buffers.
 double timeTiles(const TriangularSolver& solver, exec::SolveContext& ctx,
                  std::span<const double> b, std::span<double> x,
-                 const TileLayout& layout, int team, StorageKind storage,
-                 int reps) {
+                 const TileLayout& layout, int team, int reps) {
   using Clock = std::chrono::high_resolution_clock;
   std::vector<double> seconds;
   seconds.reserve(static_cast<size_t>(reps));
   for (int pass = 0; pass < reps; ++pass) {
     const auto t0 = Clock::now();
-    solver.solveTiles(b, x, layout, ctx, team, solver.options().fold_policy,
-                      storage);
+    solver.solveTiles(b, x, layout, ctx, team);
     seconds.push_back(
         std::chrono::duration<double>(Clock::now() - t0).count());
   }
@@ -149,12 +147,14 @@ int main() {
     const auto& entry = entries[e];
     const auto n = static_cast<size_t>(entry.lower.rows());
     for (const auto& config : configs) {
-      const auto solver = TriangularSolver::analyze(entry.lower,
-                                                    config.options);
-      auto ctx = solver.createContext();
-      const auto perm = solver.permutation();
-      const bool permuted = solver.isPermuted();
       for (const auto& [storage_name, storage] : storages) {
+        // One solver analyzed per storage: storage is an analysis setting.
+        SolverOptions options = config.options;
+        options.storage = storage;
+        const auto solver = TriangularSolver::analyze(entry.lower, options);
+        auto ctx = solver.createContext();
+        const auto perm = solver.permutation();
+        const bool permuted = solver.isPermuted();
         for (const int team : teams) {
           for (const index_t nrhs : nrhs_sweep) {
             const auto r = static_cast<size_t>(nrhs);
@@ -182,14 +182,12 @@ int main() {
             // Reference: the one-tile baseline (warmup also pays the
             // one-time plan/slab builds outside the timed region).
             std::vector<double> x_ref(b.size());
-            solver.solveTiles(b_perm, x_ref, one_tile, *ctx, team,
-                              solver.options().fold_policy, storage);
+            solver.solveTiles(b_perm, x_ref, one_tile, *ctx, team);
 
             // Full public path (internal pack + permutation): the bitwise
             // gate checks the layer users actually call.
             std::vector<double> x_public(b.size());
-            solver.solveMultiRhs(b, x_public, nrhs, *ctx, team,
-                                 solver.options().fold_policy, storage);
+            solver.solveMultiRhs(b, x_public, nrhs, *ctx, team);
             for (size_t i = 0; i < n && bitwise_ok; ++i) {
               const size_t row = permuted ? static_cast<size_t>(perm[i]) : i;
               for (size_t c = 0; c < r; ++c) {
@@ -211,9 +209,9 @@ int main() {
             row.rows_n = static_cast<long long>(entry.lower.rows());
             row.nnz = static_cast<long long>(entry.lower.nnz());
             row.untiled_seconds = timeTiles(solver, *ctx, b_perm, x_ref,
-                                            one_tile, team, storage, reps);
+                                            one_tile, team, reps);
             row.tiled_seconds = timeTiles(solver, *ctx, b_tiled, x_tiled,
-                                          layout, team, storage, reps);
+                                          layout, team, reps);
             row.tiled_speedup = row.tiled_seconds > 0.0
                                     ? row.untiled_seconds / row.tiled_seconds
                                     : 0.0;

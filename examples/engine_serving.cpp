@@ -55,6 +55,7 @@ int main() {
 
   exec::SolverOptions options;
   options.num_threads = 2;
+  options.storage = exec::StorageKind::kSlab;  // packed-record walk
   auto solver = std::make_shared<const exec::TriangularSolver>(
       exec::TriangularSolver::analyze(lower, options));
   std::printf("analyzed once: %d supersteps, %.3f ms\n",
@@ -73,7 +74,6 @@ int main() {
   engine_options.core_budget = 0;     // aggregate team cap (0 = unlimited)
   engine_options.pin_threads = true;  // pin teams to leased, disjoint cores
   // engine_options.core_set = {0, 2, 4};  // or name the cores explicitly
-  engine_options.storage = exec::StorageKind::kSlab;  // packed-record walk
   engine::SolverEngine engine(engine_options);
   const auto id = engine.registerSolver(solver);
   if (engine.coreBudget().hasCoreSet()) {

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <atomic>
 #include <numeric>
 #include <stdexcept>
 
@@ -35,6 +36,13 @@ Schedule blockSchedule(const Dag& dag, int num_blocks, bool parallel,
 
   std::vector<Schedule> block_schedules(static_cast<size_t>(num_blocks));
   std::vector<Dag> block_dags(static_cast<size_t>(num_blocks));
+  // The loop's join edge in atomics, as exec::detail::acquireTeamWrites:
+  // libgomp's barrier is invisible to ThreadSanitizer, so without it the
+  // caller's reads of the block results, and the frees of block_dags,
+  // would appear to race with the workers' writes. Each iteration
+  // release-increments `finished` after its writes; the acquire load below
+  // reads the final count (the loop has joined, so it never spins).
+  std::atomic<int> finished{0};
 
 #pragma omp parallel for schedule(dynamic, 1) if (parallel)
   for (int b = 0; b < num_blocks; ++b) {
@@ -43,6 +51,9 @@ Schedule blockSchedule(const Dag& dag, int num_blocks, bool parallel,
     block_dags[static_cast<size_t>(b)] = dag.rangeSubgraph(lo, hi);
     block_schedules[static_cast<size_t>(b)] =
         scheduler(block_dags[static_cast<size_t>(b)]);
+    finished.fetch_add(1, std::memory_order_release);
+  }
+  while (finished.load(std::memory_order_acquire) != num_blocks) {
   }
 
   // Concatenate: superstep offsets accumulate block by block.

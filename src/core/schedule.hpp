@@ -49,9 +49,6 @@ enum class FoldPolicy {
   kBinPack = 1,
 };
 
-/// Number of FoldPolicy values (sizes the executor plan caches).
-inline constexpr int kNumFoldPolicies = 2;
-
 std::string foldPolicyName(FoldPolicy policy);
 
 /// Builds the rank -> slot map folding `width` ranks onto `target` slots.

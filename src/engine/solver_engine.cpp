@@ -135,23 +135,19 @@ int SolverEngine::seedTeam(const exec::TriangularSolver& solver) {
   // throttled grant simply anchors the model at the granted width.
   CoreBudget::Lease cores(budget_, base, min_team);
   const int probe_team = cores.granted();
-  // Probe with the storage and policy the engine will actually serve, on
-  // a fresh context (registration must not race the built-in default
-  // context). The untimed warmup pays the one-time costs — fold-plan /
-  // slab build, OpenMP team spinup, cold matrix — so the timed pass
-  // measures the steady-state solve; a cold probe would overshoot and
+  // Probe on a fresh context (registration must not race the built-in
+  // default context). The untimed warmup pays the one-time costs —
+  // fold-plan / slab build, OpenMP team spinup, cold matrix — so the timed
+  // pass measures the steady-state solve; a cold probe would overshoot and
   // silently disable the cold start.
-  const core::FoldPolicy policy = solver.options().fold_policy;
-  const exec::StorageKind storage =
-      options_.storage.value_or(solver.options().storage);
   const auto n = static_cast<std::size_t>(solver.numRows());
   std::vector<double> b(n, 1.0);
   std::vector<double> x(n, 0.0);
   auto ctx = solver.createContext();
   STS_TRACE_SPAN1("plan", "seed_probe", "team", probe_team);
-  solver.solve(b, x, *ctx, probe_team, policy, storage);
+  solver.solve(b, x, *ctx, probe_team);
   const auto t0 = std::chrono::steady_clock::now();
-  solver.solve(b, x, *ctx, probe_team, policy, storage);
+  solver.solve(b, x, *ctx, probe_team);
   const double probe =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -161,6 +157,7 @@ int SolverEngine::seedTeam(const exec::TriangularSolver& solver) {
   // the base while the estimate still fits in half the target (headroom
   // for queueing and batching on top of pure compute). Estimates grow
   // monotonically as the team shrinks, so stop at the first violation.
+  const core::FoldPolicy policy = solver.options().fold_policy;
   const auto probe_makespan = static_cast<double>(
       core::foldedMakespanAt(solver.schedule(), probe_team, policy));
   if (probe_makespan <= 0.0) return base;
@@ -573,11 +570,8 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   // cannot overlap any concurrent batch's cores (the leases are disjoint)
   // and its folded ranks keep a stable core for the whole batch.
   const bool pin_batch = pin_enabled_ && !cores.cores().empty();
-  // The engine-wide storage override wins over the solver's own default;
-  // either way the layout is invisible in the results (bitwise contract).
-  const exec::StorageKind storage =
-      options_.storage.value_or(solver.options().storage);
-  const core::FoldPolicy fold_policy = solver.options().fold_policy;
+  // The solver's analyzed storage, for the stats and attribution rows.
+  const exec::StorageKind storage = solver.options().storage;
   std::uint64_t pinned_threads = 0;
   std::uint64_t migrated_threads = 0;
   bool tiled_batch = false;
@@ -610,14 +604,13 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
         if (request.nrhs == 1) {
-          solver.solve(request.b, x, lease.context(), team, fold_policy,
-                       storage);
+          solver.solve(request.b, x, lease.context(), team);
         } else {
           // A lone multi-RHS request runs on the solver's column tiles
           // (it fuses its permute and pack passes internally).
           tiled_batch = true;
           solver.solveMultiRhs(request.b, x, request.nrhs, lease.context(),
-                               team, fold_policy, storage);
+                               team);
         }
       }
       results.push_back(std::move(x));
@@ -657,8 +650,7 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
       }
       {
         STS_TRACE_SPAN1("engine", "solve", "team", team);
-        solver.solveTiles(b_tiled, x_tiled, layout, lease.context(), team,
-                          fold_policy, storage);
+        solver.solveTiles(b_tiled, x_tiled, layout, lease.context(), team);
       }
       {
         STS_TRACE_SPAN1("engine", "unpack", "rhs", k);

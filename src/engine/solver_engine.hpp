@@ -288,9 +288,9 @@ class SolverEngine {
       STS_REQUIRES(reg.stats_mu);
   /// SLO cold start (elastic + target_p95 only): estimate the per-solve
   /// cost at registration — one warmed probe solve on a budget-leased
-  /// team (never oversubscribing concurrent batches) with the storage and
-  /// policy the engine will serve, scaled to other teams by the
-  /// schedule's folded-makespan ratios (core::foldedMakespanAt) — and
+  /// team (never oversubscribing concurrent batches), scaled to other
+  /// teams by the schedule's folded-makespan ratios
+  /// (core::foldedMakespanAt) — and
   /// return the smallest power-of-two step of the controller's lattice
   /// whose estimate still fits inside half the p95 target (headroom for
   /// queueing). The first window is then served at a width the target can

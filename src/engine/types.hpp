@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,17 +99,16 @@ class EngineError : public std::runtime_error {
 /// | `core_budget`          | HOW MANY cores all batches may hold in aggregate | the chosen (desired) team is capped by the grant; grants below desire count as `budget_throttled_batches`. 0 = unlimited. |
 /// | `core_set`             | WHICH cores back the budget | non-empty switches CoreBudget to core-set mode: grants are explicit disjoint CPU ids; `core_budget` > 0 additionally truncates the set to its first `core_budget` ids |
 /// | `pin_threads`          | WHERE the granted team executes | pins each team member to one leased id (auto-detects `core_set` from the process mask when empty); placement only — results stay bitwise identical |
-/// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack; any width from the rules above executes losslessly |
-/// | `storage` (engine or solver) | WHAT memory layout the hot loop walks | engine `storage` overrides each solver's `SolverOptions::storage` when set; kSlab streams per-(team, policy) thread-local packed records, kSharedCsr walks the analyzed CSR. Layout only — results stay bitwise identical |
+/// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack, fixed when the solver is analyzed; any width from the rules above executes losslessly |
 /// | `max_queue_depth`      | HOW MUCH backlog the queue may hold | 0 (default): unbounded (every accepted submission queues). >0: submissions beyond the bound resolve their future with `EngineError{kRejected}` — bounded memory and bounded queue delay instead of queue collapse. Composes with every row above; rejection happens before any adaptive machinery sees the request |
 /// | `overload_control`     | WHETHER throughput-class work is refused under pressure | off (default): nothing is rejected by pressure. on: an `OverloadController` (hysteresis like the SLO controller) estimates queue delay from depth x the registry's batch-latency histogram (and the oldest queued wait); while it is >= `overload_target_delay` new throughput-class submissions resolve with `EngineError{kRejected}`, and they are readmitted once it falls to (1 - `overload_hysteresis`) x target. Latency-class work is always admitted, and every admitted batch runs the exact executors (bitwise). Every transition is a trace instant + registry counter (`sts.engine.overload_steps`; `sts.engine.admitted/rejected/expired` count the outcomes) |
 /// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per (team, storage); executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
 ///
 /// Pipeline per batch: elastic policy picks a DESIRED width → CoreBudget
 /// grants an actual width (and, in core-set mode, which cores) →
-/// `fold_policy` folds the schedule onto that width → `storage` picks the
-/// matrix layout the folded plan walks → `pin_threads` nails each team
-/// member to its leased core. Every stage is bitwise-lossless, so all the
+/// `fold_policy` folds the schedule onto that width → the plan walks the
+/// solver's analyzed `storage` → `pin_threads` nails each team member to
+/// its leased core. Every stage is bitwise-lossless, so all the
 /// options can be toggled freely in production.
 struct EngineOptions {
   /// Persistent dispatcher threads executing batches. Each concurrent
@@ -167,7 +165,8 @@ struct EngineOptions {
   /// concrete, mutually disjoint CPU ids instead of an anonymous count
   /// (ids must be unique and >= 0; `core_budget` > 0 truncates the set to
   /// its first `core_budget` ids). Empty with `pin_threads` set: the set
-  /// is auto-detected from the process affinity mask (sched_getaffinity).
+  /// is auto-detected from the constructing thread's affinity mask
+  /// (exec::systemCoreSet()).
   /// Empty without `pin_threads`: counting mode (PR 3 behavior).
   std::vector<int> core_set = {};
   /// Pin each batch's OpenMP team members to the batch's leased core ids
@@ -179,13 +178,6 @@ struct EngineOptions {
   /// portable fallback. Placement only: results are bitwise identical to
   /// unpinned solves. Pin outcomes are reported in SolverServingStats.
   bool pin_threads = false;
-  /// Matrix layout override for every batch the engine executes: unset
-  /// (default) uses each solver's own SolverOptions::storage; kSlab forces
-  /// the thread-local packed-record walk (exec/storage.hpp), kSharedCsr
-  /// forces the shared-CSR walk. Purely a layout choice — batch results
-  /// are bitwise identical either way; batches served from slabs are
-  /// counted in SolverServingStats::slab_batches.
-  std::optional<sts::exec::StorageKind> storage = std::nullopt;
   /// Couple the coalescing budget to the elastic policy: while the queue
   /// is deep (teams shrink) the effective batch cap rises toward
   /// 2 * max_batch — deeper amortization exactly when backlog can feed
@@ -268,7 +260,7 @@ struct SolverServingStats {
   /// leak of unpinned elastic serving, made visible).
   std::uint64_t migrated_threads = 0;
   /// Batches executed on the slab (thread-local packed) storage layout —
-  /// EngineOptions::storage override or the solver's own default.
+  /// those of a solver analyzed with SolverOptions::storage = kSlab.
   std::uint64_t slab_batches = 0;
   /// Multi-RHS batches, all executed through the tiled layout:
   /// packed straight into the solver's column tiles and solved via

@@ -43,14 +43,18 @@ namespace sts::exec {
 /// no-op: pins report unpinned, queries come back empty.
 bool affinitySupported();
 
-/// Logical CPU ids the PROCESS may run on, ascending (sched_getaffinity).
-/// The default core universe for engine::CoreBudget's core-set mode when
+/// Logical CPU ids the calling thread may run on, ascending
+/// (sched_getaffinity(0), which Linux answers per thread). Called from an
+/// unpinned thread this is the mask the process was started with (e.g.
+/// by taskset); under a live ScopedPin it is the pinned CPU. The default
+/// core universe for engine::CoreBudget's core-set mode when
 /// EngineOptions::core_set is not given. Empty when unsupported.
 std::vector<int> systemCoreSet();
 
-/// Logical CPU ids the CALLING THREAD may run on, ascending
-/// (pthread_getaffinity_np). Narrower than systemCoreSet() while a
-/// ScopedPin is live. Empty when unsupported.
+/// Logical CPU ids the calling thread may run on, ascending
+/// (pthread_getaffinity_np on pthread_self()): the same mask as
+/// systemCoreSet(), read through the pthread interface that ScopedPin
+/// sets. Empty when unsupported.
 std::vector<int> threadAffinity();
 
 /// Logical CPU the calling thread is executing on right now

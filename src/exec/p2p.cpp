@@ -4,28 +4,25 @@
 #include <stdexcept>
 
 #include "exec/row_kernels.hpp"
-#include "exec/serial.hpp"
 #include "exec/walk.hpp"
 #include "obs/trace.hpp"
 
 namespace sts::exec {
 
 P2pExecutor::P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
-                         const Dag& sync_dag)
-    : lower_(lower),
-      num_threads_(schedule.numCores()),
-      num_supersteps_(schedule.numSupersteps()),
-      full_(detail::listsFromSchedule(schedule)),
-      default_ctx_(schedule.numCores(), lower.rows()) {
-  requireSolvableLower(lower);
+                         const Dag& sync_dag, core::FoldPolicy policy,
+                         StorageKind storage)
+    : Executor(lower, schedule.numCores(), schedule.numSupersteps(), policy,
+               storage) {
   const index_t n = lower.rows();
   if (schedule.numVertices() != n || sync_dag.numVertices() != n) {
     throw std::invalid_argument("P2pExecutor: size mismatch");
   }
-  rank_loads_ = detail::threadListLoads(full_.verts, full_.step_ptr,
-                                        num_supersteps_, lower.rowPtr());
+  full_ = makePlan(detail::listsFromSchedule(schedule), num_threads_);
+  rank_loads_ = detail::threadListLoads(full_.order.verts,
+                                        full_.order.step_ptr, num_supersteps_,
+                                        lower.rowPtr());
   folded_.init(num_threads_, &full_);
-  slabs_.init(num_threads_);
 
   // Cross-thread parents in the sync DAG, flattened per vertex.
   wait_ptr_.assign(static_cast<size_t>(n) + 1, 0);
@@ -51,75 +48,52 @@ P2pExecutor::P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
   cross_deps_ = wait_ptr_.back();
 }
 
-const detail::FoldedLists& P2pExecutor::foldedPlan(
-    int team, core::FoldPolicy policy) const {
-  return folded_.get(team, policy, [this](int t, core::FoldPolicy p) {
-    STS_TRACE_SPAN1("plan", "fold_build", "team", t);
-    const auto map =
-        core::foldRankMap(num_supersteps_, num_threads_, t, p, rank_loads_);
-    return detail::foldThreadLists(full_.verts, full_.step_ptr,
-                                   num_supersteps_, t, map);
+P2pExecutor::TeamPlan P2pExecutor::makePlan(
+    detail::FoldedLists order, [[maybe_unused]] int team) const {
+  TeamPlan plan{std::move(order), {}};
+  if (storage_ == StorageKind::kSlab) {
+    STS_TRACE_SPAN1("plan", "slab_build", "team", team);
+    plan.slab = detail::buildSlabPlan(lower_, plan.order);
+  }
+  return plan;
+}
+
+const P2pExecutor::TeamPlan& P2pExecutor::plan(int team) const {
+  return folded_.get(team, [this](int t) {
+    detail::FoldedLists order;
+    {
+      STS_TRACE_SPAN1("plan", "fold_build", "team", t);
+      order = detail::foldThreadLists(full_.order.verts, full_.order.step_ptr,
+                                      num_supersteps_, t, rankMap(t));
+    }
+    return makePlan(std::move(order), t);
   });
 }
 
-const detail::SlabPlan& P2pExecutor::slabPlan(int team,
-                                              core::FoldPolicy policy) const {
-  return detail::cachedSlabPlan(
-      slabs_, lower_, num_threads_, team, policy,
-      [this](int t, core::FoldPolicy p) -> const detail::FoldedLists& {
-        return foldedPlan(t, p);
-      });
-}
-
 template <typename Kernel>
-void P2pExecutor::walk(SolveContext& ctx, int team, core::FoldPolicy policy,
-                       StorageKind storage, std::size_t tile,
+void P2pExecutor::walk(SolveContext& ctx, int team, std::size_t tile,
                        const Kernel& kernel, const char* who) const {
-  detail::requireTeamSize(team, num_threads_, who);
-  ctx.requireShape(team, lower_.rows(), who);
-  const detail::FoldedLists& order = foldedPlan(team, policy);
+  requireSolve(ctx, team, who);
+  const TeamPlan& p = plan(team);
   const detail::WaitLists waits{wait_ptr_, wait_adj_};
-  if (storage == StorageKind::kSlab) {
-    detail::TeamWalk::p2p(ctx, team, num_supersteps_, slabPlan(team, policy),
-                          order, waits, tile, kernel);
+  if (storage_ == StorageKind::kSlab) {
+    detail::TeamWalk::p2p(ctx, team, num_supersteps_, p.slab, p.order, waits,
+                          tile, kernel);
   } else {
-    detail::TeamWalk::p2p(ctx, team, num_supersteps_, order, order, waits,
+    detail::TeamWalk::p2p(ctx, team, num_supersteps_, p.order, p.order, waits,
                           tile, kernel);
   }
 }
 
 void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team, core::FoldPolicy policy,
-                        StorageKind storage) const {
-  detail::requireVectorSizes(lower_, b, x, 1, "P2pExecutor::solve");
-  walk(ctx, team, policy, storage, 0, detail::RhsKernel(lower_, b, x),
-       "P2pExecutor::solve");
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx, int team,
-                        core::FoldPolicy policy) const {
-  solve(b, x, ctx, team, policy, StorageKind::kSharedCsr);
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
                         SolveContext& ctx, int team) const {
-  solve(b, x, ctx, team, core::FoldPolicy::kModulo);
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x,
-                        SolveContext& ctx) const {
-  solve(b, x, ctx, num_threads_);
-}
-
-void P2pExecutor::solve(std::span<const double> b, std::span<double> x) const {
-  solve(b, x, default_ctx_, num_threads_);
+  detail::requireVectorSizes(lower_, b, x, 1, "P2pExecutor::solve");
+  walk(ctx, team, 0, detail::RhsKernel(lower_, b, x), "P2pExecutor::solve");
 }
 
 void P2pExecutor::solveTiles(std::span<const double> b, std::span<double> x,
                              const TileLayout& layout, SolveContext& ctx,
-                             int team, core::FoldPolicy policy,
-                             StorageKind storage) const {
+                             int team) const {
   requireTileShapes(lower_.rows(), layout, b, x, "P2pExecutor::solveTiles");
   // One full pass per tile, each under its own epoch: the flags cannot
   // track partial-tile completion, and re-resolving the (sparsified)
@@ -127,16 +101,8 @@ void P2pExecutor::solveTiles(std::span<const double> b, std::span<double> x,
   const TileViews tiles = makeTileViews(layout, b, x);
   const detail::TileKernel kernel(lower_, tiles);
   for (std::size_t tile = 0; tile < tiles.width.size(); ++tile) {
-    walk(ctx, team, policy, storage, tile, kernel, "P2pExecutor::solveTiles");
+    walk(ctx, team, tile, kernel, "P2pExecutor::solveTiles");
   }
-}
-
-std::size_t P2pExecutor::storageBytesMoved(int team, core::FoldPolicy policy,
-                                           StorageKind storage) const {
-  if (storage == StorageKind::kSlab) {
-    return detail::slabBytesMoved(slabPlan(team, policy));
-  }
-  return csrBytesMoved(lower_.rows(), lower_.nnz());
 }
 
 }  // namespace sts::exec

@@ -1,16 +1,13 @@
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
 #include "dag/dag.hpp"
 #include "exec/elastic.hpp"
+#include "exec/executor.hpp"
 #include "exec/slab.hpp"
-#include "exec/solve_context.hpp"
-#include "exec/storage.hpp"
-#include "exec/tile.hpp"
 #include "sparse/csr.hpp"
 
 /// \file p2p.hpp
@@ -23,20 +20,14 @@
 /// reset; on uint32 epoch wraparound the SolveContext clears the flags so
 /// a stale stamp can never alias a fresh epoch.
 ///
-/// Reentrancy contract (see solve_context.hpp): the executor is immutable
-/// after construction; the epoch counter and completion flags live in the
-/// SolveContext, so concurrent solves with distinct contexts are safe. The
-/// context-free overloads share a built-in context and remain
-/// one-solve-at-a-time.
-///
-/// Elasticity: the context-taking overloads accept a per-solve `team` size
-/// and optionally a core::FoldPolicy; the vertex lists fold by the
-/// policy's rank map (superstep-major order preserved) while the wait
+/// Elasticity (executor.hpp): the vertex lists fold by the rank map of the
+/// executor's fold policy (superstep-major order preserved) while the wait
 /// lists stay fixed — a dependency whose source folds onto the waiter's
 /// own thread is computed earlier in that thread's list, so its spin
 /// resolves immediately. Deadlock freedom carries over for any
 /// rank-granularity map because folded cross-thread parents still sit in
-/// strictly earlier supersteps.
+/// strictly earlier supersteps. Under kSlab each thread streams its packed
+/// records; the wait lists stay keyed by the vertex id each record carries.
 
 namespace sts::exec {
 
@@ -46,90 +37,63 @@ using sparse::CsrMatrix;
 using sts::index_t;
 using sts::offset_t;
 
-class P2pExecutor {
+class P2pExecutor final : public Executor {
  public:
   /// `schedule` provides the per-thread vertex order (its superstep
   /// structure is ignored at run time); `sync_dag` lists the dependency
   /// edges to wait on (typically the transitively reduced DAG; passing the
   /// full DAG is valid but waits on more edges).
   P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
-              const Dag& sync_dag);
+              const Dag& sync_dag,
+              core::FoldPolicy policy = core::FoldPolicy::kModulo,
+              StorageKind storage = StorageKind::kSharedCsr);
 
-  /// x = L^{-1} b on a `team`-thread folded execution; `ctx` carries the
-  /// epoch-stamped completion flags. `storage` selects the matrix walk:
-  /// kSlab streams each thread's packed records (the wait lists stay
-  /// keyed by the vertex id each record carries). Concurrent solves need
-  /// distinct contexts. 1 <= team <= numThreads().
+  /// `ctx` carries the epoch-stamped completion flags.
   void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy,
-             StorageKind storage) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team, core::FoldPolicy policy) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int team) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx) const;
-  void solve(std::span<const double> b, std::span<double> x) const;
-
-  /// Tiled SpTRSM: B and X are packed as `layout` column tiles (tile.hpp;
-  /// a single tile is the row-major n x nrhs matrix). The completion flags
-  /// are epoch-granular — they cannot express "row i done for tile t" — so
-  /// the executor runs one full dependency-resolved pass per tile, each
-  /// under a fresh epoch. Every column is bitwise equal to solve() on that
-  /// column.
+             SolveContext& ctx, int team) const override;
+  /// The completion flags are epoch-granular — they cannot express "row i
+  /// done for tile t" — so the executor runs one full dependency-resolved
+  /// pass per tile, each under a fresh epoch. The tiled walk therefore
+  /// re-streams storageBytesMoved() once per tile AND per pass.
   void solveTiles(std::span<const double> b, std::span<double> x,
-                  const TileLayout& layout, SolveContext& ctx, int team,
-                  core::FoldPolicy policy, StorageKind storage) const;
-
-  /// Matrix bytes one full sweep of `storage` streams (builds the slab
-  /// plan on demand); the plans' side of the roofline byte model. The
-  /// tiled walk re-streams this once per tile AND per pass (the P2P tile
-  /// loop is outermost).
-  std::size_t storageBytesMoved(int team, core::FoldPolicy policy,
-                                StorageKind storage) const;
-
-  std::unique_ptr<SolveContext> createContext() const {
-    return std::make_unique<SolveContext>(num_threads_, lower_.rows());
-  }
-
-  int numThreads() const { return num_threads_; }
+                  const TileLayout& layout, SolveContext& ctx,
+                  int team) const override;
 
   /// Total cross-thread dependencies the executor waits on (diagnostic:
   /// shows the sparsification effect of the transitive reduction).
   offset_t numCrossDependencies() const { return cross_deps_; }
 
  private:
-  const detail::FoldedLists& foldedPlan(int team,
-                                        core::FoldPolicy policy) const;
-  /// Packed per-thread slab storage for (team, policy), cached beside the
-  /// folded vertex lists.
-  const detail::SlabPlan& slabPlan(int team, core::FoldPolicy policy) const;
+  /// A team's per-thread vertex execution order (superstep boundaries
+  /// kept so the lists can fold onto smaller teams) and, for a kSlab
+  /// executor, the same rows as slab records.
+  struct TeamPlan {
+    detail::FoldedLists order;
+    detail::SlabPlan slab;
+  };
+
+  /// Completes a team's plan from its order: under kSlab, packs the slab.
+  TeamPlan makePlan(detail::FoldedLists order, int team) const;
+  /// The plan of a `team`-thread team: the full-width plan, or the order
+  /// folded by rankMap(team) on first use and cached.
+  const TeamPlan& plan(int team) const;
+  const detail::SlabPlan& slabPlan(int team) const override {
+    return plan(team).slab;
+  }
   /// Checks (team, ctx) and runs one P2P walk of `kernel` on RHS tile
-  /// `tile` over the (team, policy) plan in `storage`.
+  /// `tile` over the team's plan.
   template <typename Kernel>
-  void walk(SolveContext& ctx, int team, core::FoldPolicy policy,
-            StorageKind storage, std::size_t tile, const Kernel& kernel,
-            const char* who) const;
+  void walk(SolveContext& ctx, int team, std::size_t tile,
+            const Kernel& kernel, const char* who) const;
 
-  const CsrMatrix& lower_;
-  int num_threads_ = 0;
-  index_t num_supersteps_ = 0;
   offset_t cross_deps_ = 0;
-
-  /// Full-width per-thread vertex execution order, with superstep
-  /// boundaries kept so the lists can fold onto smaller teams
-  /// (elastic.hpp); also the shared team == numThreads() plan.
-  detail::FoldedLists full_;
-  /// Per-(superstep, rank) nnz loads of `full_` for kBinPack rank maps.
-  std::vector<core::weight_t> rank_loads_;
+  /// The full-width plan; also the source every folded plan is built from.
+  TeamPlan full_;
   /// wait_list of vertex v: cross-thread parents in the sync DAG, stored
   /// flat: wait_adj_[wait_ptr_[v] .. wait_ptr_[v+1]).
   std::vector<offset_t> wait_ptr_;
   std::vector<index_t> wait_adj_;
-  detail::TeamPlanCache<detail::FoldedLists> folded_;
-  detail::TeamPlanCache<detail::SlabPlan> slabs_;
-
-  mutable SolveContext default_ctx_;
+  detail::TeamPlanCache<TeamPlan> folded_;
 };
 
 }  // namespace sts::exec

@@ -8,7 +8,6 @@
 
 #include "exec/elastic.hpp"
 #include "exec/storage.hpp"
-#include "obs/trace.hpp"
 #include "sparse/csr.hpp"
 
 /// \file slab.hpp
@@ -18,7 +17,7 @@
 /// The shared-CSR walk touches four scattered arrays per row (row_ptr,
 /// col_idx, values, plus the work list) and interleaves every thread's
 /// reads through the same cache lines. A slab plan removes both costs:
-/// from a (team, fold-policy) execution plan, each thread's rows are
+/// from a team's folded execution plan, each thread's rows are
 /// packed — in that thread's execution order — into a private,
 /// cache-line-aligned byte slab of interleaved records
 ///
@@ -27,10 +26,10 @@
 /// so the hot loop advances one pointer through memory it owns
 /// exclusively, with the diagonal in the same cache line as the header
 /// and zero row_ptr indirection. Slabs duplicate matrix data per plan by
-/// design: the one-time build cost is cached per (team, policy) in the
-/// executors' TeamPlanCache, amortizing across solves exactly like the
-/// folded work lists (the paper's Table 7.6 amortization argument applied
-/// to storage).
+/// design, and only executors analyzed for kSlab build them: the one-time
+/// build cost is cached per team in the executors' TeamPlanCache,
+/// amortizing across solves exactly like the folded work lists (the
+/// paper's Table 7.6 amortization argument applied to storage).
 ///
 /// A slab stores the SAME off-diagonal cols/vals in the SAME (CSR) order
 /// and the same diagonal as the shared matrix, so walking it executes the
@@ -127,9 +126,9 @@ struct SlabThread {
   std::vector<sts::offset_t> step_ptr;
 };
 
-/// The per-(team, fold-policy) slab storage plan: thread t of the folded
-/// execution streams threads[t]. Immutable once built; cached in a
-/// TeamPlanCache beside the folded work lists.
+/// The slab storage plan of one team: thread t of the folded execution
+/// streams threads[t]. Immutable once built; cached with the team's folded
+/// work lists.
 struct SlabPlan {
   std::vector<SlabThread> threads;
 };
@@ -140,27 +139,6 @@ struct SlabPlan {
 /// entry, exactly the operands the shared-CSR kernels read.
 SlabPlan buildSlabPlan(const sparse::CsrMatrix& lower,
                        const FoldedLists& lists);
-
-/// The slab plan for (team, policy) of a `width`-thread executor, packed
-/// from the row lists `lists(team, policy)` on first use and cached in
-/// `cache`. The full-width plan is policy-invariant (folding onto the full
-/// width merges nothing), so one slab serves every policy slot there
-/// instead of the matrix being packed once per policy.
-template <typename ListsFn>
-const SlabPlan& cachedSlabPlan(const TeamPlanCache<SlabPlan>& cache,
-                               const sparse::CsrMatrix& lower, int width,
-                               int team, core::FoldPolicy policy,
-                               ListsFn&& lists) {
-  const auto build = [&](int t, core::FoldPolicy p) {
-    STS_TRACE_SPAN1("plan", "slab_build", "team", t);
-    return buildSlabPlan(lower, lists(t, p));
-  };
-  if (team == width) {
-    return cache.getPolicyShared(
-        team, [&](int t) { return build(t, core::FoldPolicy::kModulo); });
-  }
-  return cache.get(team, policy, build);
-}
 
 /// THE slab stream, shared by every slab walk so the hot loop cannot
 /// diverge between executors (the same single-definition argument as

@@ -43,9 +43,10 @@
 ///     the pin set follows the same one-solve-at-a-time rule as the rest of
 ///     the context state.
 ///
-/// The context-free `solve(b, x)` overloads run on a built-in default
-/// context and therefore keep the historical one-solve-at-a-time
-/// restriction; they exist so single-stream callers need no ceremony.
+/// TriangularSolver's context-free `solve(b, x)` runs on the solver's
+/// built-in context and therefore keeps the historical one-solve-at-a-time
+/// restriction; it exists so single-stream callers need no ceremony.
+/// Executors keep no context of their own.
 class SolveContextTestPeer;
 
 namespace sts::obs {
@@ -54,9 +55,7 @@ struct SolveTrace;
 
 namespace sts::exec {
 
-class BspExecutor;
-class ContiguousBspExecutor;
-class P2pExecutor;
+class Executor;
 class ScopedPin;
 class TriangularSolver;
 namespace detail {
@@ -113,9 +112,7 @@ class SolveContext {
   sts::obs::SolveTrace* trace() const { return trace_; }
 
  private:
-  friend class BspExecutor;
-  friend class ContiguousBspExecutor;
-  friend class P2pExecutor;
+  friend class Executor;
   friend class TriangularSolver;
   friend struct detail::TeamWalk;
   friend class ::SolveContextTestPeer;  ///< epoch-wraparound tests only

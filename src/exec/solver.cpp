@@ -10,6 +10,9 @@
 #include "baselines/wavefront.hpp"
 #include "check/check.hpp"
 #include "core/coarsen.hpp"
+#include "exec/affinity.hpp"
+#include "exec/bsp.hpp"
+#include "exec/p2p.hpp"
 #include "exec/serial.hpp"
 #include "obs/trace.hpp"
 #include "sparse/permute.hpp"
@@ -124,6 +127,8 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   const bool reorder = options.reorder &&
                        options.scheduler != SchedulerKind::kSpmp &&
                        options.scheduler != SchedulerKind::kSerial;
+  const core::FoldPolicy policy = options.fold_policy;
+  const StorageKind storage = options.storage;
   if (reorder) {
     core::ReorderedProblem problem =
         core::reorderForLocality(*solver.matrix_, solver.schedule_);
@@ -132,18 +137,15 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
     solver.permuted_ = true;
     solver.matrix_ =
         std::make_shared<const CsrMatrix>(std::move(problem.matrix));
-    solver.contiguous_ = std::make_unique<ContiguousBspExecutor>(
+    solver.executor_ = std::make_unique<BspExecutor>(
         *solver.matrix_, problem.num_supersteps, problem.num_cores,
-        std::move(problem.group_ptr));
-    solver.exec_threads_ = solver.contiguous_->numThreads();
+        std::move(problem.group_ptr), policy, storage);
   } else if (options.scheduler == SchedulerKind::kSpmp) {
-    solver.p2p_ = std::make_unique<P2pExecutor>(
-        *solver.matrix_, solver.schedule_, spmp->reduced_dag);
-    solver.exec_threads_ = solver.p2p_->numThreads();
+    solver.executor_ = std::make_unique<P2pExecutor>(
+        *solver.matrix_, solver.schedule_, spmp->reduced_dag, policy, storage);
   } else {
-    solver.bsp_ =
-        std::make_unique<BspExecutor>(*solver.matrix_, solver.schedule_);
-    solver.exec_threads_ = solver.bsp_->numThreads();
+    solver.executor_ = std::make_unique<BspExecutor>(
+        *solver.matrix_, solver.schedule_, policy, storage);
   }
   solver.analysis_seconds_ =
       std::chrono::duration<double>(Clock::now() - t0).count();
@@ -152,38 +154,41 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
 
   // The lossless clamp: schedules keep their analyzed width (folding
   // re-targets them to any t <= numThreads() at solve time), but the
-  // default execution team never exceeds the machine — oversubscribed
-  // superstep waiters would otherwise yield-spin against absent cores.
-  const auto hw = static_cast<int>(std::thread::hardware_concurrency());
-  solver.default_team_ =
-      hw > 0 ? std::min(solver.exec_threads_, hw) : solver.exec_threads_;
+  // default execution team never exceeds the CPUs the analyzing thread may
+  // run on — oversubscribed superstep waiters would otherwise yield-spin
+  // against absent cores. hardware_concurrency() counts online CPUs, not
+  // the affinity mask, so it is only the fallback.
+  const auto mask = static_cast<int>(systemCoreSet().size());
+  const int usable =
+      mask > 0 ? mask : static_cast<int>(std::thread::hardware_concurrency());
+  solver.default_team_ = usable > 0 ? std::min(solver.numThreads(), usable)
+                                    : solver.numThreads();
 
   solver.default_ctx_ = solver.createContext();
   return solver;
 }
 
-int TriangularSolver::clampTeam(int threads) const {
-  if (threads < 1) {
+int TriangularSolver::clampTeam(std::optional<int> team) const {
+  if (!team) return default_team_;
+  if (*team < 1) {
     throw std::invalid_argument(
         "TriangularSolver: per-solve team size must be >= 1");
   }
-  return std::min(threads, exec_threads_);
+  return std::min(*team, numThreads());
 }
 
 std::unique_ptr<SolveContext> TriangularSolver::createContext() const {
-  return std::make_unique<SolveContext>(exec_threads_, n_);
+  return std::make_unique<SolveContext>(numThreads(), n_);
 }
 
 void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
-                             SolveContext& ctx, int threads,
-                             core::FoldPolicy policy,
-                             StorageKind storage) const {
+                             SolveContext& ctx, std::optional<int> team) const {
   if (static_cast<index_t>(b.size()) != n_ ||
       static_cast<index_t>(x.size()) != n_) {
     throw std::invalid_argument("TriangularSolver::solve: size mismatch");
   }
   if (!permuted_) {
-    solvePermuted(b, x, ctx, threads, policy, storage);
+    solvePermuted(b, x, ctx, team);
     return;
   }
   const auto n = static_cast<size_t>(n_);
@@ -192,38 +197,21 @@ void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
   for (size_t i = 0; i < n; ++i) {
     b_perm[i] = b[static_cast<size_t>(total_new_to_old_[i])];
   }
-  solvePermuted(b_perm, x_perm, ctx, threads, policy, storage);
+  solvePermuted(b_perm, x_perm, ctx, team);
   for (size_t i = 0; i < n; ++i) {
     x[static_cast<size_t>(total_new_to_old_[i])] = x_perm[i];
   }
 }
 
-void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
-                             SolveContext& ctx, int threads,
-                             core::FoldPolicy policy) const {
-  solve(b, x, ctx, threads, policy, options_.storage);
-}
-
-void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
-                             SolveContext& ctx, int threads) const {
-  solve(b, x, ctx, threads, options_.fold_policy);
-}
-
-void TriangularSolver::solve(std::span<const double> b, std::span<double> x,
-                             SolveContext& ctx) const {
-  solve(b, x, ctx, default_team_);
-}
-
 void TriangularSolver::solve(std::span<const double> b,
                              std::span<double> x) const {
-  solve(b, x, defaultContext(), default_team_);
+  solve(b, x, *default_ctx_);
 }
 
 void TriangularSolver::solveMultiRhs(std::span<const double> b,
                                      std::span<double> x, index_t nrhs,
-                                     SolveContext& ctx, int threads,
-                                     core::FoldPolicy policy,
-                                     StorageKind storage) const {
+                                     SolveContext& ctx,
+                                     std::optional<int> team) const {
   const auto n = static_cast<size_t>(n_);
   if (nrhs <= 0 || b.size() != n * static_cast<size_t>(nrhs) ||
       x.size() != b.size()) {
@@ -231,7 +219,7 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
         "TriangularSolver::solveMultiRhs: size mismatch");
   }
   if (nrhs == 1) {
-    solve(b, x, ctx, threads, policy, storage);
+    solve(b, x, ctx, team);
     return;
   }
   const TileLayout layout = tileLayout(nrhs);
@@ -251,7 +239,7 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
       for (size_t c = 0; c < w; ++c) dst[i * w + c] = src[c];
     }
   }
-  solveTiles(b_tiled, x_tiled, layout, ctx, threads, policy, storage);
+  solveTiles(b_tiled, x_tiled, layout, ctx, team);
   // Fused unpack + unpermute.
   for (index_t t = 0; t < layout.numTiles(); ++t) {
     const auto w = static_cast<size_t>(layout.tileWidth(t));
@@ -266,31 +254,6 @@ void TriangularSolver::solveMultiRhs(std::span<const double> b,
   }
 }
 
-void TriangularSolver::solveMultiRhs(std::span<const double> b,
-                                     std::span<double> x, index_t nrhs,
-                                     SolveContext& ctx, int threads,
-                                     core::FoldPolicy policy) const {
-  solveMultiRhs(b, x, nrhs, ctx, threads, policy, options_.storage);
-}
-
-void TriangularSolver::solveMultiRhs(std::span<const double> b,
-                                     std::span<double> x, index_t nrhs,
-                                     SolveContext& ctx, int threads) const {
-  solveMultiRhs(b, x, nrhs, ctx, threads, options_.fold_policy);
-}
-
-void TriangularSolver::solveMultiRhs(std::span<const double> b,
-                                     std::span<double> x, index_t nrhs,
-                                     SolveContext& ctx) const {
-  solveMultiRhs(b, x, nrhs, ctx, default_team_);
-}
-
-void TriangularSolver::solveMultiRhs(std::span<const double> b,
-                                     std::span<double> x,
-                                     index_t nrhs) const {
-  solveMultiRhs(b, x, nrhs, defaultContext(), default_team_);
-}
-
 TileLayout TriangularSolver::tileLayout(index_t nrhs,
                                         index_t tile_cols) const {
   const index_t width = tile_cols > 0        ? tile_cols
@@ -302,69 +265,30 @@ TileLayout TriangularSolver::tileLayout(index_t nrhs,
 void TriangularSolver::solveTiles(std::span<const double> b_tiled,
                                   std::span<double> x_tiled,
                                   const TileLayout& layout, SolveContext& ctx,
-                                  int threads, core::FoldPolicy policy,
-                                  StorageKind storage) const {
-  const int team = clampTeam(threads);
-  if (contiguous_) {
-    contiguous_->solveTiles(b_tiled, x_tiled, layout, ctx, team, policy,
-                            storage);
-  } else if (p2p_) {
-    p2p_->solveTiles(b_tiled, x_tiled, layout, ctx, team, policy, storage);
-  } else {
-    bsp_->solveTiles(b_tiled, x_tiled, layout, ctx, team, policy, storage);
-  }
+                                  std::optional<int> team) const {
+  executor_->solveTiles(b_tiled, x_tiled, layout, ctx, clampTeam(team));
 }
 
 std::size_t TriangularSolver::storageBytesMoved(int threads,
                                                 core::FoldPolicy policy,
                                                 StorageKind storage) const {
-  const int team = clampTeam(threads);
-  if (contiguous_) return contiguous_->storageBytesMoved(team, policy, storage);
-  if (p2p_) return p2p_->storageBytesMoved(team, policy, storage);
-  return bsp_->storageBytesMoved(team, policy, storage);
+  if (policy != options_.fold_policy || storage != options_.storage) {
+    throw std::invalid_argument(
+        "TriangularSolver::storageBytesMoved: policy and storage must be "
+        "the solver's own");
+  }
+  return executor_->storageBytesMoved(clampTeam(threads));
 }
 
 void TriangularSolver::solvePermuted(std::span<const double> b,
                                      std::span<double> x, SolveContext& ctx,
-                                     int threads, core::FoldPolicy policy,
-                                     StorageKind storage) const {
+                                     std::optional<int> team) const {
   if (static_cast<index_t>(b.size()) != n_ ||
       static_cast<index_t>(x.size()) != n_) {
     throw std::invalid_argument(
         "TriangularSolver::solvePermuted: size mismatch");
   }
-  const int team = clampTeam(threads);
-  if (contiguous_) {
-    contiguous_->solve(b, x, ctx, team, policy, storage);
-  } else if (p2p_) {
-    p2p_->solve(b, x, ctx, team, policy, storage);
-  } else {
-    bsp_->solve(b, x, ctx, team, policy, storage);
-  }
-}
-
-void TriangularSolver::solvePermuted(std::span<const double> b,
-                                     std::span<double> x, SolveContext& ctx,
-                                     int threads,
-                                     core::FoldPolicy policy) const {
-  solvePermuted(b, x, ctx, threads, policy, options_.storage);
-}
-
-void TriangularSolver::solvePermuted(std::span<const double> b,
-                                     std::span<double> x, SolveContext& ctx,
-                                     int threads) const {
-  solvePermuted(b, x, ctx, threads, options_.fold_policy);
-}
-
-void TriangularSolver::solvePermuted(std::span<const double> b,
-                                     std::span<double> x,
-                                     SolveContext& ctx) const {
-  solvePermuted(b, x, ctx, default_team_);
-}
-
-void TriangularSolver::solvePermuted(std::span<const double> b,
-                                     std::span<double> x) const {
-  solvePermuted(b, x, defaultContext(), default_team_);
+  executor_->solve(b, x, ctx, clampTeam(team));
 }
 
 }  // namespace sts::exec

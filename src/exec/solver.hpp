@@ -10,8 +10,7 @@
 #include "core/growlocal.hpp"
 #include "core/reorder.hpp"
 #include "core/schedule.hpp"
-#include "exec/bsp.hpp"
-#include "exec/p2p.hpp"
+#include "exec/executor.hpp"
 #include "exec/solve_context.hpp"
 #include "exec/storage.hpp"
 #include "sparse/csr.hpp"
@@ -26,7 +25,7 @@
 ///   solver.solve(b, x);   // fast path, repeatable
 ///
 /// Reentrancy contract (see solve_context.hpp): after analyze() the solver
-/// is immutable; every solve entry point has a `const` overload taking a
+/// is immutable; every solve entry point is `const` and takes a
 /// SolveContext that carries all per-solve mutable state. N contexts from
 /// createContext() permit N simultaneous solves on one analyzed solver —
 /// the basis of the `engine::SolverEngine` serving subsystem:
@@ -34,40 +33,36 @@
 ///   auto ctx = solver.createContext();      // one per in-flight solve
 ///   solver.solve(b, x, *ctx);               // thread-safe across contexts
 ///
-/// The context-free overloads run on a built-in default context and keep
-/// the historical one-solve-at-a-time restriction.
+/// The context-free solve(b, x) runs on a built-in default context and
+/// keeps the historical one-solve-at-a-time restriction.
 ///
 /// ## Elasticity contract
 ///
-/// The analyzed schedule is re-targetable: every context-taking solve also
-/// accepts a per-solve team size `threads`, 1 <= threads <= numThreads(),
-/// executing the schedule folded onto that many OpenMP threads
-/// (Schedule::foldTo; folded work lists are cached per (team size, fold
-/// policy) inside the executors). How ranks map onto the smaller team is a
-/// core::FoldPolicy — SolverOptions::fold_policy sets the solver-wide
-/// default (kModulo preserves historical behavior; kBinPack LPT-packs
-/// whole ranks by per-superstep work, cutting folded imbalance), and every
-/// team-taking overload has a sibling taking an explicit policy. Folding
-/// is lossless under every policy — results are bitwise equal to the
-/// full-width solve for every team size and scheduler kind. Overloads
-/// without an explicit team run at defaultTeam(): numThreads() clamped to
-/// the host's hardware concurrency, so analyzing for more threads than the
-/// machine has no longer yield-spins superstep waiters against absent
-/// cores.
-/// Values of `threads` above numThreads() clamp to numThreads(); values
+/// Analyze once, solve many times (§1): the schedule, the §5 reordering,
+/// the fold policy and the storage are analysis products, fixed by
+/// SolverOptions. Only the team width is re-targeted per solve: every
+/// context-taking solve accepts an optional `team`,
+/// 1 <= team <= numThreads(), executing the schedule folded onto that many
+/// OpenMP threads (Schedule::foldTo; folded plans are cached per team
+/// inside the executor). How ranks map onto the smaller team is
+/// SolverOptions::fold_policy (kModulo preserves historical behavior;
+/// kBinPack LPT-packs whole ranks by per-superstep work, cutting folded
+/// imbalance). Folding is lossless under every policy — results are
+/// bitwise equal to the full-width solve for every team size and
+/// scheduler kind. An unset team runs at defaultTeam(): numThreads()
+/// clamped to the CPUs the process may run on, so analyzing for more
+/// threads than it has no longer yield-spins superstep waiters against
+/// absent cores. Teams above numThreads() clamp to numThreads(); teams
 /// below 1 throw std::invalid_argument.
 ///
 /// ## Storage
 ///
-/// Independently of team size and fold policy, every explicit solve
-/// overload accepts a StorageKind selecting how the hot loop walks the
-/// matrix: kSharedCsr (the analyzed CSR, row_ptr indirection) or kSlab
-/// (per-thread packed record streams built per (team, policy) and cached
-/// inside the executors — see storage.hpp / slab.hpp).
-/// SolverOptions::storage sets the solver-wide default the overloads
-/// without an explicit kind use. Storage is a pure layout choice: results
-/// are bitwise identical under both kinds for every executor, team,
-/// policy, and RHS count (tests/test_slab.cpp).
+/// SolverOptions::storage selects how the hot loop walks the matrix:
+/// kSharedCsr (the analyzed CSR, row_ptr indirection) or kSlab (per-thread
+/// packed record streams built per team and cached inside the executor —
+/// see storage.hpp / slab.hpp; only a kSlab solver builds them). Storage
+/// is a pure layout choice: results are bitwise identical under both kinds
+/// for every executor, team, policy, and RHS count (tests/test_slab.cpp).
 ///
 /// ## Affinity
 ///
@@ -105,7 +100,7 @@ std::string schedulerKindName(SchedulerKind kind);
 struct SolverOptions {
   SchedulerKind scheduler = SchedulerKind::kGrowLocal;
   /// Width the schedule is analyzed for. May exceed the machine: execution
-  /// clamps the *default* team to hardware_concurrency() (see
+  /// clamps the *default* team to the CPUs the process may run on (see
   /// TriangularSolver::defaultTeam) by folding, which is lossless, so an
   /// oversubscribed analysis no longer yield-spins superstep waiters against
   /// absent cores.
@@ -120,15 +115,12 @@ struct SolverOptions {
   core::GrowLocalOptions growlocal;
   /// Validate the schedule during analysis (O(V+E); cheap insurance).
   bool validate = true;
-  /// Default rank map for elastic (folded-team) solves; overloads taking an
-  /// explicit core::FoldPolicy override it per solve. kModulo keeps PR 2's
-  /// p mod t fold; kBinPack packs ranks by per-superstep load.
+  /// Rank map of elastic (folded-team) solves: kModulo is the p mod t
+  /// fold; kBinPack packs ranks by per-superstep load.
   core::FoldPolicy fold_policy = core::FoldPolicy::kModulo;
-  /// Default matrix layout of the solve hot path; overloads taking an
-  /// explicit StorageKind override it per solve. kSharedCsr walks the
-  /// analyzed CSR; kSlab streams per-thread packed row records (cached per
-  /// (team, fold policy) like the folded plans — storage.hpp). Bitwise
-  /// identical results either way.
+  /// Matrix layout of the solve hot path. kSharedCsr walks the analyzed
+  /// CSR; kSlab streams per-thread packed row records (built per team like
+  /// the folded plans — storage.hpp). Bitwise identical results either way.
   StorageKind storage = StorageKind::kSharedCsr;
   /// RHS column-tile width of the tiled multi-RHS path (tile.hpp); 0 sizes
   /// it automatically from the detected cache geometry (pickTileCols,
@@ -157,20 +149,11 @@ class TriangularSolver {
   std::unique_ptr<SolveContext> createContext() const;
 
   /// x = T^{-1} b in the ORIGINAL row ordering (permutations are internal).
-  /// The context overload is safe to call concurrently with any other
-  /// context-carrying solve on this instance. `threads` selects the
-  /// per-solve team and `policy` the fold rank map (elasticity contract
-  /// above); overloads without them run at defaultTeam() under
-  /// options().fold_policy.
+  /// Safe to call concurrently with any other solve on this instance that
+  /// uses another context. `team` selects the per-solve team (elasticity
+  /// contract above); unset runs at defaultTeam().
   void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int threads, core::FoldPolicy policy,
-             StorageKind storage) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int threads, core::FoldPolicy policy) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx, int threads) const;
-  void solve(std::span<const double> b, std::span<double> x,
-             SolveContext& ctx) const;
+             SolveContext& ctx, std::optional<int> team = std::nullopt) const;
   /// Built-in-context convenience: one solve per instance at a time.
   void solve(std::span<const double> b, std::span<double> x) const;
 
@@ -182,34 +165,27 @@ class TriangularSolver {
   /// tileLayout(nrhs), with the permutation and the tile packing fused
   /// into one pass each way; nrhs == 1 is solve() itself.
   void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int threads,
-                     core::FoldPolicy policy, StorageKind storage) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int threads,
-                     core::FoldPolicy policy) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx, int threads) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs, SolveContext& ctx) const;
-  void solveMultiRhs(std::span<const double> b, std::span<double> x,
-                     index_t nrhs) const;
+                     index_t nrhs, SolveContext& ctx,
+                     std::optional<int> team = std::nullopt) const;
 
   /// Tiled SpTRSM on PRE-TILED, PRE-PERMUTED buffers: b and x are packed as
   /// `layout` column tiles (layout.rows() == numRows()) in the INTERNAL row
   /// order. The zero-copy entry the serving engine packs coalesced batches
   /// into directly (solver_engine.cpp) — no intermediate row-major matrix.
   void solveTiles(std::span<const double> b_tiled, std::span<double> x_tiled,
-                  const TileLayout& layout, SolveContext& ctx, int threads,
-                  core::FoldPolicy policy, StorageKind storage) const;
+                  const TileLayout& layout, SolveContext& ctx,
+                  std::optional<int> team = std::nullopt) const;
 
   /// The tile partition an nrhs-column tiled solve uses: width from
   /// `tile_cols` if > 0, else options().tile_cols, else the cache-sized
   /// pickTileCols default.
   TileLayout tileLayout(index_t nrhs, index_t tile_cols = 0) const;
 
-  /// Matrix bytes one full sweep of `storage` streams on a `threads`-wide
-  /// team (builds the slab plan on demand); the plans' side of the
-  /// tools/roofline.py byte model.
+  /// Matrix bytes one full sweep of this solver's storage streams on a
+  /// `threads`-wide team (clamped like a solve's team); the plans' side of
+  /// the tools/roofline.py byte model. `policy` and `storage` must be the
+  /// solver's own (options()); anything else throws std::invalid_argument,
+  /// since no plan of another policy or storage exists.
   std::size_t storageBytesMoved(int threads, core::FoldPolicy policy,
                                 StorageKind storage) const;
 
@@ -221,16 +197,8 @@ class TriangularSolver {
   /// per solve() this way. Identical to solve() when no permutation was
   /// applied.
   void solvePermuted(std::span<const double> b, std::span<double> x,
-                     SolveContext& ctx, int threads, core::FoldPolicy policy,
-                     StorageKind storage) const;
-  void solvePermuted(std::span<const double> b, std::span<double> x,
-                     SolveContext& ctx, int threads,
-                     core::FoldPolicy policy) const;
-  void solvePermuted(std::span<const double> b, std::span<double> x,
-                     SolveContext& ctx, int threads) const;
-  void solvePermuted(std::span<const double> b, std::span<double> x,
-                     SolveContext& ctx) const;
-  void solvePermuted(std::span<const double> b, std::span<double> x) const;
+                     SolveContext& ctx,
+                     std::optional<int> team = std::nullopt) const;
 
   /// new_to_old map of the internal order (identity when not permuted).
   std::span<const index_t> permutation() const { return total_new_to_old_; }
@@ -239,9 +207,11 @@ class TriangularSolver {
   index_t numRows() const { return n_; }
   /// Width the schedule was analyzed for (== schedule().numCores()); the
   /// maximum per-solve team size.
-  int numThreads() const { return exec_threads_; }
-  /// Effective team of the overloads without an explicit team size:
-  /// numThreads() clamped to the host's hardware concurrency. Folding makes
+  int numThreads() const { return executor_->numThreads(); }
+  /// Effective team of a solve without an explicit team: numThreads()
+  /// clamped to the CPUs in the analyzing thread's affinity mask, read at
+  /// analyze() (online CPUs where the mask cannot be read). A solver
+  /// analyzed on a thread pinned to one CPU gets 1. Folding makes
   /// the clamp lossless (bitwise-identical results on the same schedule).
   int defaultTeam() const { return default_team_; }
   const SolverOptions& options() const { return options_; }
@@ -254,19 +224,17 @@ class TriangularSolver {
  private:
   TriangularSolver() = default;
 
-  SolveContext& defaultContext() const { return *default_ctx_; }
-  /// Maps a caller-requested team to a valid executor team: values above
-  /// numThreads() clamp down (lossless); values below 1 throw.
-  int clampTeam(int threads) const;
+  /// Maps a caller-requested team to a valid executor team: unset is
+  /// defaultTeam(), values above numThreads() clamp down (lossless), values
+  /// below 1 throw.
+  int clampTeam(std::optional<int> team) const;
 
   index_t n_ = 0;
   SolverOptions options_;
   Schedule schedule_;
   core::ScheduleStats stats_;
   double analysis_seconds_ = 0.0;
-  /// Thread count of the constructed executor (== schedule_.numCores()).
-  int exec_threads_ = 1;
-  /// exec_threads_ clamped to hardware_concurrency(); see defaultTeam().
+  /// numThreads() clamped to the usable CPUs; see defaultTeam().
   int default_team_ = 1;
 
   /// Normalization: x solves the original system iff the permuted solve
@@ -276,11 +244,10 @@ class TriangularSolver {
   /// Heap-allocated so executor references stay valid across solver moves.
   std::shared_ptr<const CsrMatrix> matrix_;
 
-  std::unique_ptr<BspExecutor> bsp_;
-  std::unique_ptr<ContiguousBspExecutor> contiguous_;
-  std::unique_ptr<P2pExecutor> p2p_;
+  /// BspExecutor (row lists or, reordered, row ranges) or P2pExecutor.
+  std::unique_ptr<const Executor> executor_;
 
-  /// Backs the context-free convenience overloads.
+  /// Backs the context-free solve(b, x).
   std::unique_ptr<SolveContext> default_ctx_;
 };
 

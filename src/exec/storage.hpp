@@ -3,13 +3,14 @@
 #include <string>
 
 /// \file storage.hpp
-/// The matrix-storage knob of the solve hot path. Every executor can walk
-/// the matrix through two layouts:
+/// The matrix-storage setting of the solve hot path, fixed at analysis
+/// (SolverOptions::storage, passed into the executor constructors). Every
+/// executor can walk the matrix through two layouts:
 ///
 ///   * kSharedCsr — the one CSR the solver was analyzed on, indexed
 ///     through row_ptr/col_idx per vertex (the historical layout; rows of
 ///     one thread's work list are scattered across the shared arrays).
-///   * kSlab — a per-(team, fold-policy) THREAD-LOCAL repack: each
+///   * kSlab — a per-team THREAD-LOCAL repack: each
 ///     thread's rows, in execution order, packed into a private
 ///     cache-line-aligned slab of interleaved {row, nnz, diag, cols[],
 ///     vals[]} records (exec/slab.hpp). The hot loop streams its own
@@ -29,9 +30,6 @@ enum class StorageKind {
   kSharedCsr = 0,  ///< walk the shared CSR through row_ptr/col_idx
   kSlab = 1,       ///< stream per-thread packed row records
 };
-
-/// Number of StorageKind values (sizes per-storage caches and sweeps).
-inline constexpr int kNumStorageKinds = 2;
 
 inline std::string storageKindName(StorageKind storage) {
   switch (storage) {

@@ -23,7 +23,7 @@
 /// The two OpenMP team regions of the exact executors — the execution
 /// model of §2.2 written once. Each thread walks its rows superstep by
 /// superstep; the superstep walk waits, per boundary, only for the peers
-/// its next superstep reads from (BspExecutor, ContiguousBspExecutor;
+/// its next superstep reads from (BspExecutor, row lists or row ranges;
 /// peer_waits.hpp), the P2P walk waits per row on completion flags
 /// (P2pExecutor, SpMP-style). No team barrier is crossed inside either.
 ///

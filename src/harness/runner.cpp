@@ -63,7 +63,8 @@ SolveMeasurement measureSolver(const std::string& matrix_name,
   // remapping of the transparent solve().
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
-  m.parallel_seconds = medianSeconds([&] { solver.solvePermuted(b, x); },
+  const auto ctx = solver.createContext();
+  m.parallel_seconds = medianSeconds([&] { solver.solvePermuted(b, x, *ctx); },
                                      opts.warmup, opts.reps);
   m.speedup = m.serial_seconds / m.parallel_seconds;
   m.schedule_seconds = solver.analysisSeconds();

@@ -204,7 +204,7 @@ TEST(Affinity, ScopedPinPinsAndRestores) {
 
 struct KindConfig {
   SchedulerKind kind;
-  bool reorder;  ///< true exercises ContiguousBspExecutor for GrowLocal
+  bool reorder;  ///< true exercises BspExecutor's row ranges for GrowLocal
 };
 
 /// Pinning is placement only: for every executor kind (BSP, contiguous
@@ -220,8 +220,8 @@ TEST(Affinity, PinnedSolveBitwiseMatchesUnpinned) {
   if (pin_set.empty()) pin_set = {0};  // unsupported: ScopedPin no-ops
 
   const std::vector<KindConfig> kinds = {
-      {SchedulerKind::kGrowLocal, true},   // ContiguousBspExecutor
-      {SchedulerKind::kGrowLocal, false},  // BspExecutor
+      {SchedulerKind::kGrowLocal, true},   // BspExecutor, row ranges
+      {SchedulerKind::kGrowLocal, false},  // BspExecutor, row lists
       {SchedulerKind::kFunnelGrowLocal, true},
       {SchedulerKind::kWavefront, false},
       {SchedulerKind::kHdagg, false},

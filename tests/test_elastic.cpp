@@ -3,6 +3,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "dag/dag.hpp"
 #include "engine/request_queue.hpp"
 #include "engine/solver_engine.hpp"
+#include "exec/affinity.hpp"
 #include "exec/bsp.hpp"
 #include "exec/serial.hpp"
 #include "exec/solver.hpp"
@@ -133,9 +135,8 @@ TEST(ScheduleFold, ExecutorFoldMatchesScheduleFold) {
     const exec::BspExecutor exec_folded(lower, folded);
     std::vector<double> x_elastic(n, 0.0);
     std::vector<double> x_refolded(n, 1.0);
-    auto ctx = exec_full.createContext();
-    exec_full.solve(b, x_elastic, *ctx, t);
-    exec_folded.solve(b, x_refolded);
+    exec_full.solve(b, x_elastic, *exec_full.createContext(), t);
+    exec_folded.solve(b, x_refolded, *exec_folded.createContext(), t);
     EXPECT_EQ(x_elastic, x_refolded) << "team " << t;
   }
 }
@@ -274,8 +275,9 @@ TEST(ElasticSolve, ConcurrentMixedTeamSolves) {
 
 /// The lossless clamp: analyzing for far more threads than the host has
 /// keeps the schedule at the requested width but caps the default team at
-/// hardware_concurrency(), so default solves never oversubscribe — and the
-/// folded execution still matches the serial reference bitwise.
+/// the usable CPUs (never above hardware_concurrency()), so default solves
+/// never oversubscribe — and the folded execution still matches the serial
+/// reference bitwise.
 TEST(ElasticSolve, OversubscribedAnalyzeClampsDefaultTeam) {
   const auto lower = datagen::bandedLower(200, 6, 0.5, 41);
   SolverOptions opts;
@@ -298,6 +300,32 @@ TEST(ElasticSolve, OversubscribedAnalyzeClampsDefaultTeam) {
   exec::solveLowerSerial(lower, b, expected);
   std::vector<double> x(b.size(), 0.0);
   solver.solve(b, x);  // default team: clamped, folded, lossless
+  EXPECT_EQ(x, expected);
+}
+
+/// The default team counts the CPUs the analyzing thread may run on, not
+/// the online ones: analyzed on a thread pinned to one CPU, a width-4
+/// solver runs its default solves on a team of 1 (hardware_concurrency()
+/// would still report every CPU).
+TEST(ElasticSolve, DefaultTeamHonorsAffinityMask) {
+  if (!exec::affinitySupported()) GTEST_SKIP() << "no affinity support";
+  const std::vector<int> cpus = exec::systemCoreSet();
+  ASSERT_FALSE(cpus.empty());
+  const exec::ScopedPin pin(std::span<const int>(cpus.data(), 1), 0);
+  ASSERT_TRUE(pin.pinned());
+  const auto lower = datagen::bandedLower(200, 6, 0.5, 43);
+  SolverOptions opts;
+  opts.num_threads = 4;
+  opts.reorder = false;
+  const auto solver = TriangularSolver::analyze(lower, opts);
+  EXPECT_EQ(solver.numThreads(), 4);
+  EXPECT_EQ(solver.defaultTeam(), 1);
+
+  const auto b = lower.multiply(exec::referenceSolution(lower.rows(), 44));
+  std::vector<double> expected(b.size(), 0.0);
+  exec::solveLowerSerial(lower, b, expected);
+  std::vector<double> x(b.size(), 0.0);
+  solver.solve(b, x);  // a team of 1 on the pinned CPU
   EXPECT_EQ(x, expected);
 }
 

@@ -48,6 +48,12 @@ std::vector<double> rhsFor(const CsrMatrix& lower,
   return lower.multiply(x_true);
 }
 
+/// One full-width solve on a fresh context (executors keep none).
+void solveFullWidth(const Executor& exec, std::span<const double> b,
+                    std::span<double> x) {
+  exec.solve(b, x, *exec.createContext(), exec.numThreads());
+}
+
 TEST(SerialSolve, RoundTripOnZoo) {
   for (const auto& [name, lower] : testutil::lowerTriangularZoo()) {
     const auto x_true = referenceSolution(lower.rows(), 77);
@@ -105,7 +111,7 @@ TEST(BspExecutor, BitIdenticalToSerialOnZoo) {
     const auto b = rhsFor(lower, x_true);
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     solveLowerSerial(lower, b, x_serial);
-    exec.solve(b, x_par);
+    solveFullWidth(exec, b, x_par);
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }
@@ -121,8 +127,10 @@ baselines::HdaggOptions hdaggOptions(int cores) {
 /// The row kernel reads x in place, so a missing superstep wait reads the
 /// previous solve's value of a parent — the other right-hand side's — and
 /// fails; with one right-hand side the stale value would already be right.
-template <typename Exec>
-void expectAlternatingSolvesExact(const Exec& exec, const CsrMatrix& lower,
+/// `make(policy, storage)` builds one executor per analyzed (fold policy,
+/// storage).
+template <typename MakeExec>
+void expectAlternatingSolvesExact(const MakeExec& make, const CsrMatrix& lower,
                                   const std::string& where) {
   std::vector<std::vector<double>> b, expected;
   for (int k = 0; k < 2; ++k) {
@@ -130,14 +138,15 @@ void expectAlternatingSolvesExact(const Exec& exec, const CsrMatrix& lower,
     expected.emplace_back(b.back().size());
     solveLowerSerial(lower, b.back(), expected.back());
   }
-  auto ctx = exec.createContext();
   std::vector<double> x(b[0].size(), 0.0);
-  for (const int team : {2, 3, 4}) {
-    for (const auto policy :
-         {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
-      for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+  for (const auto policy :
+       {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+    for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+      const BspExecutor exec = make(policy, storage);
+      auto ctx = exec.createContext();
+      for (const int team : {2, 3, 4}) {
         for (int rep = 0; rep < 6; ++rep) {
-          exec.solve(b[rep % 2], x, *ctx, team, policy, storage);
+          exec.solve(b[rep % 2], x, *ctx, team);
           ASSERT_EQ(x, expected[rep % 2])
               << where << " team " << team << " policy "
               << static_cast<int>(policy) << " storage "
@@ -162,13 +171,19 @@ TEST(BspExecutor, RepeatedSolvesAreStable) {
         {"BSPg", baselines::bspListSchedule(d, {.num_cores = 4})},
     };
     for (const auto& [kind, sched] : schedules) {
-      expectAlternatingSolvesExact(BspExecutor(lower, sched), lower,
-                                   name + " " + kind);
+      expectAlternatingSolvesExact(
+          [&](core::FoldPolicy policy, StorageKind storage) {
+            return BspExecutor(lower, sched, policy, storage);
+          },
+          lower, name + " " + kind);
     }
     const core::ReorderedProblem problem = core::reorderForLocality(lower, gl);
     expectAlternatingSolvesExact(
-        ContiguousBspExecutor(problem.matrix, problem.num_supersteps,
-                              problem.num_cores, problem.group_ptr),
+        [&](core::FoldPolicy policy, StorageKind storage) {
+          return BspExecutor(problem.matrix, problem.num_supersteps,
+                             problem.num_cores, problem.group_ptr, policy,
+                             storage);
+        },
         problem.matrix, name + " GrowLocal contiguous");
   }
 }
@@ -182,7 +197,7 @@ TEST(P2pExecutor, MatchesSerialWithFullSyncDag) {
     const auto b = rhsFor(lower, x_true);
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     solveLowerSerial(lower, b, x_serial);
-    exec.solve(b, x_par);
+    solveFullWidth(exec, b, x_par);
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }
@@ -196,10 +211,11 @@ TEST(P2pExecutor, MatchesSerialWithReducedSyncDag) {
     const auto b = rhsFor(lower, x_true);
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     solveLowerSerial(lower, b, x_serial);
-    // Repeated solves exercise the epoch mechanism.
+    // Repeated solves on one context exercise the epoch mechanism.
+    const auto ctx = exec.createContext();
     for (int rep = 0; rep < 3; ++rep) {
       std::fill(x_par.begin(), x_par.end(), 0.0);
-      exec.solve(b, x_par);
+      exec.solve(b, x_par, *ctx, exec.numThreads());
       EXPECT_EQ(x_serial, x_par) << name << " rep " << rep;
     }
   }
@@ -220,7 +236,7 @@ TEST(P2pExecutor, EpochWraparoundResetsCompletionFlags) {
   std::vector<double> expected(b.size(), 0.0), x(b.size(), 0.0);
   solveLowerSerial(lower, b, expected);
 
-  exec.solve(b, x, *ctx);
+  exec.solve(b, x, *ctx, exec.numThreads());
   EXPECT_EQ(x, expected);
   EXPECT_EQ(ctx->currentEpoch(), 1u);
 
@@ -231,7 +247,7 @@ TEST(P2pExecutor, EpochWraparoundResetsCompletionFlags) {
       *ctx, std::numeric_limits<std::uint32_t>::max());
   for (int rep = 1; rep <= 3; ++rep) {
     std::fill(x.begin(), x.end(), -1.0);
-    exec.solve(b, x, *ctx);
+    exec.solve(b, x, *ctx, exec.numThreads());
     EXPECT_EQ(x, expected) << "rep " << rep;
     EXPECT_EQ(ctx->currentEpoch(), static_cast<std::uint32_t>(rep));
   }
@@ -256,7 +272,7 @@ TEST(P2pExecutor, ConcurrentSolvesWithDistinctContexts) {
       std::vector<double> x(b.size(), 0.0);
       for (int rep = 0; rep < 3; ++rep) {
         std::fill(x.begin(), x.end(), -1.0);
-        exec.solve(b, x, *ctx);
+        exec.solve(b, x, *ctx, exec.numThreads());
         if (x != expected) failures[static_cast<size_t>(t)] += 1;
       }
     });
@@ -283,13 +299,13 @@ TEST(ContiguousExecutor, MatchesSerialWithinTolerance) {
     const Dag d = Dag::fromLowerTriangular(lower);
     const Schedule s = core::growLocalSchedule(d, {.num_cores = 2});
     core::ReorderedProblem problem = core::reorderForLocality(lower, s);
-    const ContiguousBspExecutor exec(problem.matrix, problem.num_supersteps,
-                                     problem.num_cores, problem.group_ptr);
+    const BspExecutor exec(problem.matrix, problem.num_supersteps,
+                           problem.num_cores, problem.group_ptr);
     const auto x_true = referenceSolution(lower.rows(), 88);
     const auto b = rhsFor(lower, x_true);
     const auto b_perm = sparse::permuteVector(b, problem.new_to_old);
     std::vector<double> x_perm(b.size(), 0.0);
-    exec.solve(b_perm, x_perm);
+    solveFullWidth(exec, b_perm, x_perm);
     const auto x = sparse::unpermuteVector(x_perm, problem.new_to_old);
     EXPECT_LT(relMaxAbsDiff(x, x_true), 1e-8) << name;
   }
@@ -316,7 +332,7 @@ TEST(BspExecutor, ConcurrentSolvesWithDistinctContexts) {
       std::vector<double> x(b.size(), 0.0);
       for (int rep = 0; rep < 3; ++rep) {
         std::fill(x.begin(), x.end(), -1.0);
-        exec.solve(b, x, *ctx);
+        exec.solve(b, x, *ctx, exec.numThreads());
         if (x != expected) failures[static_cast<size_t>(t)] += 1;
       }
     });
@@ -398,11 +414,10 @@ TEST(BspExecutor, MultiRhsMatchesSingleSolvesBitwise) {
       b_multi[i * kNrhs + static_cast<size_t>(c)] = b[i];
     }
     expected.emplace_back(n, 0.0);
-    exec.solve(b, expected.back());
+    solveFullWidth(exec, b, expected.back());
   }
   exec.solveTiles(b_multi, x_multi, TileLayout(lower.rows(), kNrhs, kNrhs),
-                  *exec.createContext(), exec.numThreads(),
-                  core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
+                  *exec.createContext(), exec.numThreads());
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -416,8 +431,8 @@ TEST(ContiguousExecutor, MultiRhsMatchesSingleSolvesBitwise) {
   const Dag d = Dag::fromLowerTriangular(lower);
   const Schedule s = core::growLocalSchedule(d, {.num_cores = 2});
   core::ReorderedProblem problem = core::reorderForLocality(lower, s);
-  const ContiguousBspExecutor exec(problem.matrix, problem.num_supersteps,
-                                   problem.num_cores, problem.group_ptr);
+  const BspExecutor exec(problem.matrix, problem.num_supersteps,
+                         problem.num_cores, problem.group_ptr);
   const auto n = static_cast<size_t>(lower.rows());
   constexpr index_t kNrhs = 3;
   std::vector<double> b_multi(n * kNrhs), x_multi(n * kNrhs, 0.0);
@@ -430,11 +445,10 @@ TEST(ContiguousExecutor, MultiRhsMatchesSingleSolvesBitwise) {
       b_multi[i * kNrhs + static_cast<size_t>(c)] = b_perm[i];
     }
     expected.emplace_back(n, 0.0);
-    exec.solve(b_perm, expected.back());
+    solveFullWidth(exec, b_perm, expected.back());
   }
   exec.solveTiles(b_multi, x_multi, TileLayout(lower.rows(), kNrhs, kNrhs),
-                  *exec.createContext(), exec.numThreads(),
-                  core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
+                  *exec.createContext(), exec.numThreads());
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -462,8 +476,7 @@ TEST(P2pExecutor, MultiRhsMatchesSerial) {
     solveLowerSerial(lower, b, expected.back());
   }
   exec.solveTiles(b_multi, x_multi, TileLayout(lower.rows(), kNrhs, kNrhs),
-                  *exec.createContext(), exec.numThreads(),
-                  core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
+                  *exec.createContext(), exec.numThreads());
   for (index_t c = 0; c < kNrhs; ++c) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],

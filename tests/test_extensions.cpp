@@ -85,7 +85,7 @@ TEST(SolvePermuted, ConsistentWithTransparentSolve) {
   const auto perm = solver.permutation();
   const auto b_perm = sparse::permuteVector(b, perm);
   std::vector<double> x_perm(b.size(), 0.0);
-  solver.solvePermuted(b_perm, x_perm);
+  solver.solvePermuted(b_perm, x_perm, *solver.createContext());
   const auto x_back = sparse::unpermuteVector(x_perm, perm);
   EXPECT_EQ(x, x_back);  // identical code path underneath
 }
@@ -101,7 +101,7 @@ TEST(SolvePermuted, IdentityWhenNotPermuted) {
   const auto b = lower.multiply(x_true);
   std::vector<double> x1(b.size(), 0.0), x2(b.size(), 0.0);
   solver.solve(b, x1);
-  solver.solvePermuted(b, x2);
+  solver.solvePermuted(b, x2, *solver.createContext());
   EXPECT_EQ(x1, x2);
 }
 
@@ -147,9 +147,7 @@ TEST(MultiRhs, BspExecutorMatchesSerial) {
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     exec::solveLowerSerialMultiRhs(lower, b, x_serial, nrhs);
     executor.solveTiles(b, x_par, exec::TileLayout(lower.rows(), nrhs, nrhs),
-                        *executor.createContext(), executor.numThreads(),
-                        core::FoldPolicy::kModulo,
-                        exec::StorageKind::kSharedCsr);
+                        *executor.createContext(), executor.numThreads());
     EXPECT_EQ(x_serial, x_par) << name;
   }
 }

@@ -18,19 +18,20 @@
 
 /// \file test_slab.cpp
 /// The storage contract (exec/storage.hpp): the slab layout — per-thread
-/// packed row records built per (team, fold policy) — is bitwise
-/// indistinguishable from the shared-CSR walk for every executor kind,
-/// team size, fold policy, and RHS count; slab construction packs exactly
-/// the CSR row data (ASan-covered in CI); rebuilding slabs across refolds
-/// is consistent; concurrent mixed-storage solves are safe (TSan-covered
-/// in CI); and the engine's storage passthrough serves bitwise-identical
-/// batches. Plus the SLO cold-start seeding satellite: registerSolver
+/// packed row records built per team for a solver analyzed with kSlab —
+/// is bitwise indistinguishable from the shared-CSR walk for every
+/// executor kind, team size, fold policy, and RHS count; slab construction
+/// packs exactly the CSR row data (ASan-covered in CI); rebuilding slabs
+/// across refolds is consistent; concurrent mixed-storage solves are safe
+/// (TSan-covered in CI); and an engine serving a kSlab solver serves
+/// bitwise-identical batches on slabs. Plus the SLO cold-start seeding satellite: registerSolver
 /// seeds the controller from the analyze-time cost model.
 
 namespace sts {
 namespace {
 
 using exec::SchedulerKind;
+using sparse::CsrMatrix;
 using exec::SolverOptions;
 using exec::StorageKind;
 using exec::TriangularSolver;
@@ -127,6 +128,14 @@ TEST(SlabRecords, PackExactRowDataAligned) {
   }
 }
 
+/// The solver analyzed with `opts` under (policy, storage).
+TriangularSolver analyzeWith(const CsrMatrix& lower, SolverOptions opts,
+                             core::FoldPolicy policy, StorageKind storage) {
+  opts.fold_policy = policy;
+  opts.storage = storage;
+  return TriangularSolver::analyze(lower, opts);
+}
+
 TEST(SlabSolve, BitwiseMatchesSharedCsrForEveryConfig) {
   const int width = 4;
   const auto matrices = {
@@ -137,29 +146,29 @@ TEST(SlabSolve, BitwiseMatchesSharedCsrForEveryConfig) {
   for (const auto& lower : matrices) {
     const auto n = static_cast<size_t>(lower.rows());
     for (const auto& config : executorConfigs(width)) {
-      const auto solver = TriangularSolver::analyze(lower, config.options);
-      auto ctx = solver.createContext();
-      for (int team = 1; team <= solver.numThreads(); ++team) {
-        for (const auto policy :
-             {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+      for (const auto policy :
+           {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+        const auto shared = analyzeWith(lower, config.options, policy,
+                                        StorageKind::kSharedCsr);
+        const auto slab =
+            analyzeWith(lower, config.options, policy, StorageKind::kSlab);
+        auto shared_ctx = shared.createContext();
+        auto slab_ctx = slab.createContext();
+        for (int team = 1; team <= shared.numThreads(); ++team) {
           for (const index_t nrhs : {1, 3, 8}) {
             const auto b = makeRhs(n, nrhs);
             std::vector<double> x_shared(b.size());
             std::vector<double> x_slab(b.size());
-            solver.solveMultiRhs(b, x_shared, nrhs, *ctx, team, policy,
-                                 StorageKind::kSharedCsr);
-            solver.solveMultiRhs(b, x_slab, nrhs, *ctx, team, policy,
-                                 StorageKind::kSlab);
+            shared.solveMultiRhs(b, x_shared, nrhs, *shared_ctx, team);
+            slab.solveMultiRhs(b, x_slab, nrhs, *slab_ctx, team);
             ASSERT_EQ(x_slab, x_shared)
                 << config.name << " team " << team << " policy "
                 << core::foldPolicyName(policy) << " nrhs " << nrhs;
             if (nrhs == 1) {
               std::vector<double> x1_shared(n);
               std::vector<double> x1_slab(n);
-              solver.solve(b, x1_shared, *ctx, team, policy,
-                           StorageKind::kSharedCsr);
-              solver.solve(b, x1_slab, *ctx, team, policy,
-                           StorageKind::kSlab);
+              shared.solve(b, x1_shared, *shared_ctx, team);
+              slab.solve(b, x1_slab, *slab_ctx, team);
               ASSERT_EQ(x1_slab, x1_shared) << config.name << " team "
                                             << team;
             }
@@ -171,36 +180,38 @@ TEST(SlabSolve, BitwiseMatchesSharedCsrForEveryConfig) {
 }
 
 TEST(SlabSolve, RebuildOnRefoldStaysBitwise) {
-  // Alternating team sizes and policies forces slab (re)builds at every
-  // new (team, policy) key and cache reuse on revisits; each must agree
-  // with the shared-CSR walk of the same fold.
+  // Alternating team sizes and policies forces slab builds at every new
+  // (solver, team) and cache reuse on revisits; each must agree with the
+  // shared-CSR walk of the same fold.
   const auto lower = datagen::bandedLower(280, 10, 0.6, 31);
   const auto n = static_cast<size_t>(lower.rows());
   SolverOptions opts;
   opts.num_threads = 4;
-  const auto solver = TriangularSolver::analyze(lower, opts);
-  auto ctx = solver.createContext();
+  std::vector<TriangularSolver> shared, slab;
+  for (const auto policy :
+       {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+    shared.push_back(
+        analyzeWith(lower, opts, policy, StorageKind::kSharedCsr));
+    slab.push_back(analyzeWith(lower, opts, policy, StorageKind::kSlab));
+  }
+  auto ctx = shared.front().createContext();
   const auto b = makeRhs(n, 3);
   const int sequence[] = {4, 1, 3, 4, 2, 1, 3};
   for (int round = 0; round < 2; ++round) {
     for (const int team : sequence) {
-      const auto policy = (round + team) % 2 == 0
-                              ? core::FoldPolicy::kModulo
-                              : core::FoldPolicy::kBinPack;
+      const auto p = static_cast<size_t>((round + team) % 2);
       std::vector<double> x_shared(b.size());
       std::vector<double> x_slab(b.size());
-      solver.solveMultiRhs(b, x_shared, 3, *ctx, team, policy,
-                           StorageKind::kSharedCsr);
-      solver.solveMultiRhs(b, x_slab, 3, *ctx, team, policy,
-                           StorageKind::kSlab);
+      shared[p].solveMultiRhs(b, x_shared, 3, *ctx, team);
+      slab[p].solveMultiRhs(b, x_slab, 3, *ctx, team);
       ASSERT_EQ(x_slab, x_shared) << "team " << team << " round " << round;
     }
   }
 }
 
 TEST(SlabSolve, UpperTriangularAndOptionDefaultPaths) {
-  // The reversal-normalized (upper-triangular) path and the
-  // SolverOptions::storage default both route through slabs.
+  // The reversal-normalized (upper-triangular) path routes through slabs
+  // when the solver is analyzed with SolverOptions::storage = kSlab.
   const auto lower = datagen::grid2dLaplacian5(12, 12).lowerTriangle();
   const auto upper = lower.transposed();
   const auto n = static_cast<size_t>(upper.rows());
@@ -221,45 +232,50 @@ TEST(SlabSolve, UpperTriangularAndOptionDefaultPaths) {
   const auto bm = makeRhs(n, 5);
   std::vector<double> xm_shared(bm.size());
   std::vector<double> xm_slab(bm.size());
-  shared_solver.solveMultiRhs(bm, xm_shared, 5);
-  slab_solver.solveMultiRhs(bm, xm_slab, 5);
+  shared_solver.solveMultiRhs(bm, xm_shared, 5,
+                              *shared_solver.createContext());
+  slab_solver.solveMultiRhs(bm, xm_slab, 5, *slab_solver.createContext());
   EXPECT_EQ(xm_slab, xm_shared);
 }
 
 TEST(SlabSolveConcurrent, MixedStorageAndTeamsAreSafe) {
-  // Concurrent solves on one solver with distinct contexts, mixing teams,
-  // policies, and storage kinds: exercises the lazy slab cache under
-  // contention (first touch of each key races the builders) — TSan covers
-  // this in CI.
+  // Concurrent solves with distinct contexts on four solvers (one per
+  // policy x storage). Workers w and w + 4 share a solver and a team on
+  // every rep, so the first touch of each team races the builders of the
+  // same per-team plan slot (folded rows, plus slabs for the kSlab
+  // solvers); the team rotates per rep, so each solver also runs mixed
+  // teams — TSan covers this in CI.
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 6e-3,
                                                .seed = 41});
   const auto n = static_cast<size_t>(lower.rows());
   SolverOptions opts;
   opts.num_threads = 4;
   opts.reorder = false;
-  const auto solver = TriangularSolver::analyze(lower, opts);
+  std::vector<TriangularSolver> solvers;
+  for (const auto policy :
+       {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+    for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+      solvers.push_back(analyzeWith(lower, opts, policy, storage));
+    }
+  }
 
   const auto b = makeRhs(n, 2);
   std::vector<double> expected(b.size());
-  {
-    auto ctx = solver.createContext();
-    solver.solveMultiRhs(b, expected, 2, *ctx, solver.numThreads(),
-                         core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
-  }
+  solvers.front().solveMultiRhs(b, expected, 2,
+                                *solvers.front().createContext(),
+                                solvers.front().numThreads());
 
   constexpr int kWorkers = 8;
   std::vector<std::future<std::vector<double>>> results;
   for (int w = 0; w < kWorkers; ++w) {
     results.push_back(std::async(std::launch::async, [&, w] {
+      const TriangularSolver& solver =
+          solvers[static_cast<size_t>(w) % solvers.size()];
       auto ctx = solver.createContext();
       std::vector<double> x(b.size());
-      const int team = 1 + w % solver.numThreads();
-      const auto policy = w % 2 == 0 ? core::FoldPolicy::kModulo
-                                     : core::FoldPolicy::kBinPack;
-      const auto storage =
-          w % 3 == 0 ? StorageKind::kSharedCsr : StorageKind::kSlab;
       for (int rep = 0; rep < 3; ++rep) {
-        solver.solveMultiRhs(b, x, 2, *ctx, team, policy, storage);
+        const int team = 1 + (w + rep) % solver.numThreads();
+        solver.solveMultiRhs(b, x, 2, *ctx, team);
       }
       return x;
     }));
@@ -269,28 +285,31 @@ TEST(SlabSolveConcurrent, MixedStorageAndTeamsAreSafe) {
   }
 }
 
-TEST(SlabEngine, StoragePassthroughServesBitwiseAndCounts) {
+TEST(SlabEngine, SlabSolverServesBitwiseAndCounts) {
+  // An engine serving a solver analyzed with kSlab runs every batch on
+  // slabs: the stats count each one and the attribution rows carry kSlab.
   const auto lower = datagen::grid2dLaplacian5(13, 13).lowerTriangle();
   const auto n = static_cast<size_t>(lower.rows());
   SolverOptions solver_opts;
   solver_opts.num_threads = 2;
+  const auto shared = TriangularSolver::analyze(lower, solver_opts);
+  solver_opts.storage = StorageKind::kSlab;
   auto solver = std::make_shared<const TriangularSolver>(
       TriangularSolver::analyze(lower, solver_opts));
 
   std::vector<std::vector<double>> rhs;
   for (unsigned j = 0; j < 12; ++j) rhs.push_back(makeRhs(n, 1, j));
   std::vector<std::vector<double>> expected;
+  auto ctx = shared.createContext();
   for (const auto& b : rhs) {
-    auto ctx = solver->createContext();
     std::vector<double> x(n);
-    solver->solve(b, x, *ctx);
+    shared.solve(b, x, *ctx);
     expected.push_back(std::move(x));
   }
 
   engine::EngineOptions opts;
   opts.num_workers = 2;
   opts.max_batch = 4;
-  opts.storage = StorageKind::kSlab;
   engine::SolverEngine engine(opts);
   const auto id = engine.registerSolver(solver);
   std::vector<std::future<std::vector<double>>> futures;
@@ -301,8 +320,15 @@ TEST(SlabEngine, StoragePassthroughServesBitwiseAndCounts) {
   engine.drain();  // stats post after the promises resolve
   const auto stats = engine.stats(id);
   EXPECT_GT(stats.batches, 0u);
-  EXPECT_EQ(stats.slab_batches, stats.batches - stats.batches_failed);
   EXPECT_EQ(stats.batches_failed, 0u);
+  EXPECT_EQ(stats.slab_batches, stats.batches);
+  const auto rows = engine.traceSummary(id);
+#if STS_TRACING
+  ASSERT_FALSE(rows.empty());
+#endif
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.storage, StorageKind::kSlab) << "team " << row.team;
+  }
 }
 
 TEST(SlabEngine, SloColdStartSeedsFromCostModel) {

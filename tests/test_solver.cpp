@@ -177,7 +177,7 @@ TEST(TriangularSolver, SolveMultiRhsMatchesIndependentSolves) {
       expected.emplace_back(n, 0.0);
       solver.solve(b, expected.back());
     }
-    solver.solveMultiRhs(b_multi, x_multi, kNrhs);
+    solver.solveMultiRhs(b_multi, x_multi, kNrhs, *solver.createContext());
     for (index_t c = 0; c < kNrhs; ++c) {
       for (size_t i = 0; i < n; ++i) {
         EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
@@ -198,24 +198,23 @@ TEST(TriangularSolver, SolveMultiRhsSingleColumnIsSolve) {
   const struct {
     SchedulerKind kind;
     bool reorder;
-  } configs[] = {{SchedulerKind::kGrowLocal, true},   // ContiguousBspExecutor
-                 {SchedulerKind::kHdagg, false},      // BspExecutor
+  } configs[] = {{SchedulerKind::kGrowLocal, true},   // BspExecutor, ranges
+                 {SchedulerKind::kHdagg, false},      // BspExecutor, lists
                  {SchedulerKind::kSpmp, false},       // P2pExecutor
                  {SchedulerKind::kSerial, false}};
   for (const auto& config : configs) {
-    SolverOptions opts;
-    opts.scheduler = config.kind;
-    opts.num_threads = 2;
-    opts.reorder = config.reorder;
-    const auto solver = TriangularSolver::analyze(lower, opts);
-    auto ctx = solver.createContext();
-    for (const int team : {1, solver.numThreads()}) {
-      for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+    for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+      SolverOptions opts;
+      opts.scheduler = config.kind;
+      opts.num_threads = 2;
+      opts.reorder = config.reorder;
+      opts.storage = storage;
+      const auto solver = TriangularSolver::analyze(lower, opts);
+      auto ctx = solver.createContext();
+      for (const int team : {1, solver.numThreads()}) {
         std::vector<double> x_solve(n), x_multi(n);
-        solver.solve(b, x_solve, *ctx, team, core::FoldPolicy::kModulo,
-                     storage);
-        solver.solveMultiRhs(b, x_multi, 1, *ctx, team,
-                             core::FoldPolicy::kModulo, storage);
+        solver.solve(b, x_solve, *ctx, team);
+        solver.solveMultiRhs(b, x_multi, 1, *ctx, team);
         EXPECT_EQ(x_multi, x_solve)
             << schedulerKindName(config.kind) << " team " << team
             << " storage " << storageKindName(storage);
@@ -244,7 +243,7 @@ TEST(TriangularSolver, SolvePermutedRoundTripMatchesSolve) {
 
   std::vector<double> b_perm(n), x_perm(n, 0.0), x_round(n, 0.0);
   for (size_t i = 0; i < n; ++i) b_perm[i] = b[static_cast<size_t>(perm[i])];
-  solver.solvePermuted(b_perm, x_perm);
+  solver.solvePermuted(b_perm, x_perm, *solver.createContext());
   for (size_t i = 0; i < n; ++i) {
     x_round[static_cast<size_t>(perm[i])] = x_perm[i];
   }

@@ -10,6 +10,7 @@
 #include "datagen/grids.hpp"
 #include "datagen/random_matrices.hpp"
 #include "engine/solver_engine.hpp"
+#include "exec/slab.hpp"
 #include "exec/solver.hpp"
 #include "exec/tile.hpp"
 #include "test_util.hpp"
@@ -162,6 +163,18 @@ TEST(TileGeometry, PickTileColsRespectsEnvOverride) {
   EXPECT_EQ(auto_cols % 8, 0);
 }
 
+/// The solver analyzed with `opts` under `storage` and `tile_cols`.
+TriangularSolver analyzeWith(const sparse::CsrMatrix& lower,
+                             SolverOptions opts, StorageKind storage,
+                             index_t tile_cols) {
+  opts.storage = storage;
+  opts.tile_cols = tile_cols;
+  return TriangularSolver::analyze(lower, opts);
+}
+
+/// A tile width no nrhs here reaches: the one-tile (row-major) layout.
+constexpr index_t kUntiled = 1024;
+
 TEST(TiledSolve, BitwiseMatchesUntiledForEveryConfig) {
   const int width = 4;
   const auto matrices = {
@@ -172,26 +185,25 @@ TEST(TiledSolve, BitwiseMatchesUntiledForEveryConfig) {
   for (const auto& lower : matrices) {
     const auto n = static_cast<size_t>(lower.rows());
     for (const auto& config : executorConfigs(width)) {
-      // tile_cols = 3 forces multi-tile execution (with ragged tails at
-      // nrhs 8 and 17); 0 exercises the auto heuristic, whose floor of 16
-      // degenerates every nrhs here but 17 to a single tile.
-      for (const index_t tile_cols : {3, 0}) {
-        SolverOptions opts = config.options;
-        opts.tile_cols = tile_cols;
-        const auto solver = TriangularSolver::analyze(lower, opts);
-        auto ctx = solver.createContext();
-        for (const int team : {1, width}) {
-          for (const auto storage :
-               {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+      for (const auto storage :
+           {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+        const auto untiled =
+            analyzeWith(lower, config.options, storage, kUntiled);
+        auto untiled_ctx = untiled.createContext();
+        // tile_cols = 3 forces multi-tile execution (with ragged tails at
+        // nrhs 8 and 17); 0 exercises the auto heuristic, whose floor of
+        // 16 degenerates every nrhs here but 17 to a single tile.
+        for (const index_t tile_cols : {3, 0}) {
+          const auto solver =
+              analyzeWith(lower, config.options, storage, tile_cols);
+          auto ctx = solver.createContext();
+          for (const int team : {1, width}) {
             for (const index_t nrhs : {1, 3, 8, 17}) {
               const auto b = makeRhs(n, nrhs);
               std::vector<double> x_untiled(b.size());
               std::vector<double> x_tiled(b.size());
-              solver.solveMultiRhs(b, x_untiled, nrhs, *ctx, team,
-                                   solver.options().fold_policy, storage);
-              solver.solveMultiRhs(b, x_tiled, nrhs, *ctx, team,
-                                   solver.options().fold_policy,
-                                   storage);
+              untiled.solveMultiRhs(b, x_untiled, nrhs, *untiled_ctx, team);
+              solver.solveMultiRhs(b, x_tiled, nrhs, *ctx, team);
               ASSERT_EQ(x_tiled, x_untiled)
                   << config.name << " tile_cols " << tile_cols << " team "
                   << team << " storage " << static_cast<int>(storage)
@@ -234,8 +246,7 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
   std::vector<double> b_tiled(layout.totalDoubles());
   std::vector<double> x_tiled(layout.totalDoubles());
   layout.pack(b_perm, b_tiled);
-  solver.solveTiles(b_tiled, x_tiled, layout, *ctx, solver.numThreads(),
-                    solver.options().fold_policy, solver.options().storage);
+  solver.solveTiles(b_tiled, x_tiled, layout, *ctx, solver.numThreads());
   std::vector<double> x_perm(b.size());
   layout.unpack(x_tiled, x_perm);
   std::vector<double> x(b.size());
@@ -248,67 +259,89 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
   // Shape mismatches must throw, not corrupt.
   std::vector<double> short_buf(layout.totalDoubles() - 1);
   EXPECT_THROW(solver.solveTiles(short_buf, x_tiled, layout, *ctx,
-                                 solver.numThreads(),
-                                 solver.options().fold_policy,
-                                 solver.options().storage),
+                                 solver.numThreads()),
                std::invalid_argument);
 }
 
+/// The analyze-time contract seen through what the setting changes: the
+/// bytes a sweep streams are the CSR for a kSharedCsr solver and the slab
+/// records for a kSlab solver, and asking for a policy or storage the
+/// solver was not analyzed with throws (no such plan exists).
 TEST(TiledSolve, BytesMovedAccountingIsConsistent) {
   const auto lower = datagen::erdosRenyiLower({.n = 250, .p = 1e-2,
                                                .seed = 17});
   SolverOptions opts;
   opts.num_threads = 2;
-  const auto solver = TriangularSolver::analyze(lower, opts);
-  const auto csr = solver.storageBytesMoved(2, core::FoldPolicy::kModulo,
-                                            StorageKind::kSharedCsr);
-  EXPECT_EQ(csr, exec::csrBytesMoved(lower.rows(), lower.nnz()));
-  const auto slab = solver.storageBytesMoved(2, core::FoldPolicy::kModulo,
-                                             StorageKind::kSlab);
-  // Slabs duplicate the row/col data into padded per-thread records:
-  // at least the CSR value+index payload, never less.
-  EXPECT_GE(slab, static_cast<size_t>(lower.nnz()) * sizeof(double));
+  const auto shared = TriangularSolver::analyze(lower, opts);
+  EXPECT_EQ(shared.storageBytesMoved(2, core::FoldPolicy::kModulo,
+                                     StorageKind::kSharedCsr),
+            exec::csrBytesMoved(lower.rows(), lower.nnz()));
+
+  opts.storage = StorageKind::kSlab;
+  const auto slab = TriangularSolver::analyze(lower, opts);
+  // Every row is one record of exactly one thread's slab, at any team.
+  std::size_t records = 0;
+  for (index_t i = 0; i < lower.rows(); ++i) {
+    records += exec::detail::slabRecordBytes(lower.rowCols(i).size() - 1);
+  }
+  for (const int team : {1, 2}) {
+    EXPECT_EQ(slab.storageBytesMoved(team, core::FoldPolicy::kModulo,
+                                     StorageKind::kSlab),
+              records)
+        << "team " << team;
+  }
+  EXPECT_NE(records, exec::csrBytesMoved(lower.rows(), lower.nnz()));
+
+  EXPECT_THROW(shared.storageBytesMoved(2, core::FoldPolicy::kModulo,
+                                        StorageKind::kSlab),
+               std::invalid_argument);
+  EXPECT_THROW(slab.storageBytesMoved(2, core::FoldPolicy::kModulo,
+                                      StorageKind::kSharedCsr),
+               std::invalid_argument);
+  EXPECT_THROW(shared.storageBytesMoved(2, core::FoldPolicy::kBinPack,
+                                        StorageKind::kSharedCsr),
+               std::invalid_argument);
 }
 
 TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
-  // Tiled and untiled solves race on one solver with distinct contexts,
-  // mixing teams and storage: the lazy slab/fold caches and the tiled
-  // scratch buffers must not interfere — TSan covers this in CI.
+  // Tiled and untiled solves race on four solvers (tiled or untiled x
+  // shared CSR or slab), each worker on its own context. Workers w and
+  // w + 4 share a solver and a team on every rep, so the first touch of
+  // each team races the builders of the same per-team plan slot; the team
+  // rotates per rep, so each solver also runs mixed teams. The lazy plan
+  // caches and the tiled scratch buffers must not interfere — TSan covers
+  // this in CI.
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 6e-3,
                                                .seed = 41});
   const auto n = static_cast<size_t>(lower.rows());
   SolverOptions opts;
   opts.num_threads = 4;
   opts.reorder = false;
-  opts.tile_cols = 3;
-  const auto solver = TriangularSolver::analyze(lower, opts);
+  std::vector<TriangularSolver> solvers;
+  for (const index_t tile_cols : {index_t{3}, kUntiled}) {
+    for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
+      solvers.push_back(analyzeWith(lower, opts, storage, tile_cols));
+    }
+  }
 
   const index_t nrhs = 7;
   const auto b = makeRhs(n, nrhs);
   std::vector<double> expected(b.size());
-  {
-    auto ctx = solver.createContext();
-    solver.solveMultiRhs(b, expected, nrhs, *ctx, solver.numThreads(),
-                         core::FoldPolicy::kModulo, StorageKind::kSharedCsr);
-  }
+  solvers.front().solveMultiRhs(b, expected, nrhs,
+                                *solvers.front().createContext(),
+                                solvers.front().numThreads());
 
   constexpr int kWorkers = 8;
   std::vector<std::future<std::vector<double>>> results;
   for (int w = 0; w < kWorkers; ++w) {
     results.push_back(std::async(std::launch::async, [&, w] {
+      const TriangularSolver& solver =
+          solvers[static_cast<size_t>(w) % solvers.size()];
       auto ctx = solver.createContext();
       std::vector<double> x(b.size());
-      const int team = 1 + w % solver.numThreads();
-      const auto storage =
-          w % 3 == 0 ? StorageKind::kSharedCsr : StorageKind::kSlab;
       for (int rep = 0; rep < 3; ++rep) {
-        if (w % 2 == 0) {
-          solver.solveMultiRhs(b, x, nrhs, *ctx, team,
-                               core::FoldPolicy::kModulo, storage);
-        } else {
-          solver.solveMultiRhs(b, x, nrhs, *ctx, team,
-                               core::FoldPolicy::kModulo, storage);
-        }
+        const int team = 1 + (w + rep) % solver.numThreads();
+        solver.solveMultiRhs(b, x, nrhs, *ctx, team);
       }
       return x;
     }));

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific convention lints that clang-tidy cannot express.
 
-Six rules, each encoding a contract documented in docs/ (violations have
+Seven rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
@@ -21,6 +21,16 @@ bitten or would bite silently — none of them is a style preference):
       no `SpinBarrier` and no `#pragma omp barrier`. A team barrier beside
       the peer waits would be a second sync path that makes every thread
       wait for the whole team again.
+
+  analyze-time-settings
+      The fold policy and the storage layout are analysis products, fixed
+      by SolverOptions and passed into the executor constructors; a solve
+      takes its data, a context and at most a team. So no `solve*`
+      declaration or call in src/exec/ or src/engine/ may take a
+      `FoldPolicy` or `StorageKind` parameter, and no executor (a class
+      that is or derives from `Executor`) may keep a `default_ctx_`
+      member. Either one is the first step back to the per-solve overload
+      families (16 solver and 18 executor entry points) this replaced.
 
   trace-arg-purity
       No side-effecting expressions (++/--/assignment) inside STS_TRACE_*
@@ -74,6 +84,12 @@ OMP_WINDOW = 15
 # The only src/exec file allowed to open a team region (the walkers),
 # relative to src/.
 OMP_REGION_FILES = ("exec/walk.hpp",)
+
+# Per-solve settings that are analysis products (analyze-time-settings).
+SOLVE_CALL = re.compile(r"\bsolve\w*\s*\(")
+ANALYZE_TIME_TYPES = re.compile(r"\b(FoldPolicy|StorageKind)\b")
+EXECUTOR_CLASS = re.compile(r"\bclass\s+(\w+)([^;{()]*)\{")
+EXECUTOR_BASE = re.compile(r"\bpublic\s+(?:\w+::)*Executor\b")
 
 # Team-wide synchronization the superstep walk replaced by peer waits.
 TEAM_BARRIER = re.compile(r"\bSpinBarrier\b|#\s*pragma\s+omp\s+barrier\b")
@@ -190,6 +206,47 @@ def check_sync_path(path: Path, lines: list[str]) -> list[str]:
     return errors
 
 
+def check_analyze_time_settings(path: Path, lines: list[str]) -> list[str]:
+    errors = []
+    rel = path.relative_to(REPO)
+    stripped = [strip_comments_and_strings(l) for l in lines]
+    text = "\n".join(stripped)
+    for m in SOLVE_CALL.finditer(text):
+        args = balanced_args(text, m.end() - 1)
+        hit = ANALYZE_TIME_TYPES.search(args or "")
+        if hit:
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(
+                f"{rel}:{line}: analyze-time-settings: '{m.group(0)[:-1]}' "
+                f"takes a {hit.group(0)}; fix it in SolverOptions and the "
+                f"executor constructor instead")
+    for m in EXECUTOR_CLASS.finditer(text):
+        name, bases = m.group(1), m.group(2)
+        if not (name.endswith("Executor") or EXECUTOR_BASE.search(bases)):
+            continue
+        body = balanced_braces(text, m.end() - 1) or ""
+        if re.search(r"\bdefault_ctx_\b", body):
+            line = text.count("\n", 0, m.start()) + 1
+            errors.append(
+                f"{rel}:{line}: analyze-time-settings: executor '{name}' "
+                f"keeps a default_ctx_; a solve takes its context")
+    return errors
+
+
+def balanced_braces(text: str, start: int) -> str | None:
+    """The text between the braces opening at text[start] (which must be
+    '{'), or None if unbalanced within `text`."""
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start + 1:i]
+    return None
+
+
 def check_trace_args(path: Path, lines: list[str]) -> list[str]:
     errors = []
     text = "\n".join(strip_comments_and_strings(l) for l in lines)
@@ -302,6 +359,9 @@ def run(paths: list[Path]) -> list[str]:
         if path.is_relative_to(SRC / "exec"):
             errors += check_omp_regions(path, lines)
             errors += check_sync_path(path, lines)
+        if path.is_relative_to(SRC / "exec") or path.is_relative_to(
+                SRC / "engine"):
+            errors += check_analyze_time_settings(path, lines)
         errors += check_trace_args(path, lines)
         errors += check_includes(path, lines)
         errors += check_lock_discipline(path, lines)
@@ -366,6 +426,33 @@ SpinBarrier& barrier = ctx.barrier_;
 """, None),
     ("SpinBarrier outside src/exec passes", "src/harness/fix.cpp", """
 SpinBarrier barrier(2);
+""", None),
+    ("solve declaration taking a fold policy", "src/exec/fix.hpp", """
+#pragma once
+  void solve(std::span<const double> b, std::span<double> x,
+             SolveContext& ctx, int team, core::FoldPolicy policy) const;
+""", "analyze-time-settings"),
+    ("engine solve call passing a storage", "src/engine/fix.cpp", """
+solver.solveTiles(b, x, layout, ctx, team,
+                  sts::exec::StorageKind::kSlab);
+""", "analyze-time-settings"),
+    ("executor keeping a default context", "src/exec/fix.hpp", """
+#pragma once
+class P2pExecutor final : public Executor {
+ private:
+  mutable SolveContext default_ctx_;
+};
+""", "analyze-time-settings"),
+    ("team-only solves and the solver's own context pass", "src/exec/fix.hpp",
+     """
+#pragma once
+class TriangularSolver {
+  void solve(std::span<const double> b, std::span<double> x,
+             SolveContext& ctx, std::optional<int> team) const;
+  std::size_t storageBytesMoved(int threads, core::FoldPolicy policy,
+                                StorageKind storage) const;
+  std::unique_ptr<SolveContext> default_ctx_;
+};
 """, None),
     ("omp parallel for is exempt", "src/exec/fix.cpp", """
 #pragma omp parallel for schedule(dynamic, 1)
