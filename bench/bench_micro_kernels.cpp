@@ -154,8 +154,8 @@ void BM_P2pSolve(benchmark::State& state) {
 BENCHMARK(BM_P2pSolve);
 
 /// Column-blocked multi-RHS row kernel (computeRowMultiPacked: fixed
-/// 8/4-wide register blocks + tail — the slab walk's kernel) on the SAME
-/// CSR memory, isolating the kernel effect from the layout effect.
+/// 8/4-wide register blocks + tail — the tiled walk's kernel) on the CSR,
+/// isolating the kernel from the walk.
 void BM_MultiRhsKernelBlocked(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto r = static_cast<size_t>(state.range(0));
@@ -182,15 +182,12 @@ void BM_MultiRhsKernelBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiRhsKernelBlocked)->Arg(4)->Arg(8);
 
-/// End-to-end storage ablation: the full multi-RHS solve (one n x nrhs
-/// tile) on one executor built per storage, through the shared CSR vs the
-/// thread-local slab (layout + prefetch); Arg = nrhs.
-void BM_BspSolveMultiStorage(benchmark::State& state,
-                             exec::StorageKind storage) {
+/// The full multi-RHS solve (one n x nrhs tile) on a BSP executor over
+/// the shared CSR; Arg = nrhs.
+void BM_BspSolveMultiShared(benchmark::State& state) {
   const auto& lower = benchMatrix();
   const auto schedule = core::growLocalSchedule(benchDag(), {.num_cores = 2});
-  const exec::BspExecutor executor(lower, schedule,
-                                   core::FoldPolicy::kModulo, storage);
+  const exec::BspExecutor executor(lower, schedule);
   auto ctx = executor.createContext();
   const auto r = static_cast<index_t>(state.range(0));
   const std::vector<double> b(
@@ -204,14 +201,7 @@ void BM_BspSolveMultiStorage(benchmark::State& state,
   state.SetItemsProcessed(state.iterations() * lower.nnz() *
                           static_cast<int64_t>(r));
 }
-void BM_BspSolveMultiShared(benchmark::State& state) {
-  BM_BspSolveMultiStorage(state, exec::StorageKind::kSharedCsr);
-}
-void BM_BspSolveMultiSlab(benchmark::State& state) {
-  BM_BspSolveMultiStorage(state, exec::StorageKind::kSlab);
-}
 BENCHMARK(BM_BspSolveMultiShared)->Arg(4)->Arg(8);
-BENCHMARK(BM_BspSolveMultiSlab)->Arg(4)->Arg(8);
 
 void BM_GrowLocalSchedule(benchmark::State& state) {
   const auto& d = benchDag();

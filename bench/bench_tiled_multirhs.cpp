@@ -1,6 +1,6 @@
 /// Tiled multi-RHS bench: cache-sized column tiles vs the untiled
 /// baseline — the whole batch as ONE row-major n x nrhs tile — across
-/// executor x storage x team x nrhs. The tile layout (exec/tile.hpp)
+/// executor x team x nrhs. The tile layout (exec/tile.hpp)
 /// repacks the batch into per-tile row-major n x w blocks sized to a
 /// per-thread L2 share, so each superstep's matrix pass touches a working
 /// set that fits in cache. Both runs must produce bitwise-identical
@@ -41,7 +41,6 @@ namespace {
 using namespace sts;
 using exec::SchedulerKind;
 using exec::SolverOptions;
-using exec::StorageKind;
 using exec::TileLayout;
 using exec::TriangularSolver;
 
@@ -51,7 +50,6 @@ struct Row {
   std::string dataset;
   std::string matrix;
   std::string executor;
-  std::string storage;
   int team = 0;
   index_t nrhs = 1;
   index_t tile_cols = 0;
@@ -89,7 +87,7 @@ int main() {
 
   bench::banner("Tiled multi-RHS", "Steiner et al. (locality follow-up)",
                 "Cache-sized RHS column tiles vs one row-major tile, "
-                "executor x storage x team x nrhs");
+                "executor x team x nrhs");
   std::printf("schedule width %d, %d timed reps per configuration\n\n", width,
               reps);
 
@@ -134,9 +132,6 @@ int main() {
     configs.push_back({"p2p", opts});
   }
 
-  const std::vector<std::pair<std::string, StorageKind>> storages = {
-      {"shared-csr", StorageKind::kSharedCsr}, {"slab", StorageKind::kSlab}};
-
   std::vector<int> teams = {1, width};
   teams.erase(std::unique(teams.begin(), teams.end()), teams.end());
   const std::vector<index_t> nrhs_sweep = {1, 8, 16, 32};
@@ -147,100 +142,94 @@ int main() {
     const auto& entry = entries[e];
     const auto n = static_cast<size_t>(entry.lower.rows());
     for (const auto& config : configs) {
-      for (const auto& [storage_name, storage] : storages) {
-        // One solver analyzed per storage: storage is an analysis setting.
-        SolverOptions options = config.options;
-        options.storage = storage;
-        const auto solver = TriangularSolver::analyze(entry.lower, options);
-        auto ctx = solver.createContext();
-        const auto perm = solver.permutation();
-        const bool permuted = solver.isPermuted();
-        for (const int team : teams) {
-          for (const index_t nrhs : nrhs_sweep) {
-            const auto r = static_cast<size_t>(nrhs);
-            std::vector<double> b(n * r);
-            for (size_t i = 0; i < b.size(); ++i) {
-              b[i] = 1.0 + 0.25 * static_cast<double>((3 * i + e) % 17);
-            }
-            const TileLayout layout = solver.tileLayout(nrhs);
-            const TileLayout one_tile(solver.numRows(), nrhs, nrhs);
-
-            // Permute into schedule order once, outside the timing: the
-            // row-major result is already the one-tile packed form, and
-            // tiling it is exactly what the engine's fused pack produces.
-            std::vector<double> b_perm(b.size());
-            for (size_t i = 0; i < n; ++i) {
-              const size_t row = permuted ? static_cast<size_t>(perm[i]) : i;
-              for (size_t c = 0; c < r; ++c) {
-                b_perm[i * r + c] = b[row * r + c];
-              }
-            }
-            std::vector<double> b_tiled(layout.totalDoubles());
-            std::vector<double> x_tiled(layout.totalDoubles());
-            layout.pack(b_perm, b_tiled);
-
-            // Reference: the one-tile baseline (warmup also pays the
-            // one-time plan/slab builds outside the timed region).
-            std::vector<double> x_ref(b.size());
-            solver.solveTiles(b_perm, x_ref, one_tile, *ctx, team);
-
-            // Full public path (internal pack + permutation): the bitwise
-            // gate checks the layer users actually call.
-            std::vector<double> x_public(b.size());
-            solver.solveMultiRhs(b, x_public, nrhs, *ctx, team);
-            for (size_t i = 0; i < n && bitwise_ok; ++i) {
-              const size_t row = permuted ? static_cast<size_t>(perm[i]) : i;
-              for (size_t c = 0; c < r; ++c) {
-                if (x_public[row * r + c] != x_ref[i * r + c]) {
-                  bitwise_ok = false;
-                }
-              }
-            }
-
-            Row row;
-            row.dataset = entry_dataset[e];
-            row.matrix = entry.name;
-            row.executor = config.name;
-            row.storage = storage_name;
-            row.team = team;
-            row.nrhs = nrhs;
-            row.tile_cols = layout.tileCols();
-            row.num_tiles = layout.numTiles();
-            row.rows_n = static_cast<long long>(entry.lower.rows());
-            row.nnz = static_cast<long long>(entry.lower.nnz());
-            row.untiled_seconds = timeTiles(solver, *ctx, b_perm, x_ref,
-                                            one_tile, team, reps);
-            row.tiled_seconds = timeTiles(solver, *ctx, b_tiled, x_tiled,
-                                          layout, team, reps);
-            row.tiled_speedup = row.tiled_seconds > 0.0
-                                    ? row.untiled_seconds / row.tiled_seconds
-                                    : 0.0;
-            // Byte model for tools/roofline.py: the matrix is streamed
-            // once per tile (the tile loop replays the storage walk), the
-            // RHS/solution doubles move once each way.
-            row.bytes_moved =
-                solver.storageBytesMoved(team, solver.options().fold_policy,
-                                         storage) *
-                    static_cast<std::size_t>(layout.numTiles()) +
-                layout.bytesMoved();
-            row.flops = 2 * static_cast<std::size_t>(entry.lower.nnz()) * r;
-
-            // The tiled result must match the reference after unpacking.
-            std::vector<double> x_unpacked(b.size());
-            layout.unpack(x_tiled, x_unpacked);
-            if (x_unpacked != x_ref) bitwise_ok = false;
-
-            std::printf("%-14s %-10s %-10s team %2d nrhs %2d "
-                        "(tile %2d x%2d): untiled %9.3f ms  tiled %9.3f ms "
-                        " (%.2fx)\n",
-                        entry.name.c_str(), config.name.c_str(),
-                        storage_name.c_str(), team, static_cast<int>(nrhs),
-                        static_cast<int>(row.tile_cols),
-                        static_cast<int>(row.num_tiles),
-                        row.untiled_seconds * 1e3, row.tiled_seconds * 1e3,
-                        row.tiled_speedup);
-            rows.push_back(std::move(row));
+      const auto solver =
+          TriangularSolver::analyze(entry.lower, config.options);
+      auto ctx = solver.createContext();
+      const auto perm = solver.permutation();
+      const bool permuted = solver.isPermuted();
+      for (const int team : teams) {
+        for (const index_t nrhs : nrhs_sweep) {
+          const auto r = static_cast<size_t>(nrhs);
+          std::vector<double> b(n * r);
+          for (size_t i = 0; i < b.size(); ++i) {
+            b[i] = 1.0 + 0.25 * static_cast<double>((3 * i + e) % 17);
           }
+          const TileLayout layout = solver.tileLayout(nrhs);
+          const TileLayout one_tile(solver.numRows(), nrhs, nrhs);
+
+          // Permute into schedule order once, outside the timing: the
+          // row-major result is already the one-tile packed form, and
+          // tiling it is exactly what the engine's fused pack produces.
+          std::vector<double> b_perm(b.size());
+          for (size_t i = 0; i < n; ++i) {
+            const size_t row = permuted ? static_cast<size_t>(perm[i]) : i;
+            for (size_t c = 0; c < r; ++c) {
+              b_perm[i * r + c] = b[row * r + c];
+            }
+          }
+          std::vector<double> b_tiled(layout.totalDoubles());
+          std::vector<double> x_tiled(layout.totalDoubles());
+          layout.pack(b_perm, b_tiled);
+
+          // Reference: the one-tile baseline (warmup also pays the
+          // one-time plan builds outside the timed region).
+          std::vector<double> x_ref(b.size());
+          solver.solveTiles(b_perm, x_ref, one_tile, *ctx, team);
+
+          // Full public path (internal pack + permutation): the bitwise
+          // gate checks the layer users actually call.
+          std::vector<double> x_public(b.size());
+          solver.solveMultiRhs(b, x_public, nrhs, *ctx, team);
+          for (size_t i = 0; i < n && bitwise_ok; ++i) {
+            const size_t row = permuted ? static_cast<size_t>(perm[i]) : i;
+            for (size_t c = 0; c < r; ++c) {
+              if (x_public[row * r + c] != x_ref[i * r + c]) {
+                bitwise_ok = false;
+              }
+            }
+          }
+
+          Row row;
+          row.dataset = entry_dataset[e];
+          row.matrix = entry.name;
+          row.executor = config.name;
+          row.team = team;
+          row.nrhs = nrhs;
+          row.tile_cols = layout.tileCols();
+          row.num_tiles = layout.numTiles();
+          row.rows_n = static_cast<long long>(entry.lower.rows());
+          row.nnz = static_cast<long long>(entry.lower.nnz());
+          row.untiled_seconds = timeTiles(solver, *ctx, b_perm, x_ref,
+                                          one_tile, team, reps);
+          row.tiled_seconds = timeTiles(solver, *ctx, b_tiled, x_tiled,
+                                        layout, team, reps);
+          row.tiled_speedup = row.tiled_seconds > 0.0
+                                  ? row.untiled_seconds / row.tiled_seconds
+                                  : 0.0;
+          // Byte model for tools/roofline.py: the matrix is streamed
+          // once per tile (the tile loop replays the matrix walk), the
+          // RHS/solution doubles move once each way.
+          row.bytes_moved =
+              exec::csrBytesMoved(entry.lower.rows(), entry.lower.nnz()) *
+                  static_cast<std::size_t>(layout.numTiles()) +
+              layout.bytesMoved();
+          row.flops = 2 * static_cast<std::size_t>(entry.lower.nnz()) * r;
+
+          // The tiled result must match the reference after unpacking.
+          std::vector<double> x_unpacked(b.size());
+          layout.unpack(x_tiled, x_unpacked);
+          if (x_unpacked != x_ref) bitwise_ok = false;
+
+          std::printf("%-14s %-10s team %2d nrhs %2d "
+                      "(tile %2d x%2d): untiled %9.3f ms  tiled %9.3f ms "
+                      " (%.2fx)\n",
+                      entry.name.c_str(), config.name.c_str(), team,
+                      static_cast<int>(nrhs),
+                      static_cast<int>(row.tile_cols),
+                      static_cast<int>(row.num_tiles),
+                      row.untiled_seconds * 1e3, row.tiled_seconds * 1e3,
+                      row.tiled_speedup);
+          rows.push_back(std::move(row));
         }
       }
     }
@@ -261,13 +250,13 @@ int main() {
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
     std::printf("%s{\"dataset\":\"%s\",\"matrix\":\"%s\","
-                "\"executor\":\"%s\",\"storage\":\"%s\",\"team\":%d,"
+                "\"executor\":\"%s\",\"storage\":\"shared-csr\",\"team\":%d,"
                 "\"nrhs\":%d,\"tile_cols\":%d,\"num_tiles\":%d,"
                 "\"rows\":%lld,\"nnz\":%lld,"
                 "\"untiled_seconds\":%.6g,\"tiled_seconds\":%.6g,"
                 "\"tiled_speedup\":%.4g,\"bytes_moved\":%zu,\"flops\":%zu}",
                 i == 0 ? "" : ",", row.dataset.c_str(), row.matrix.c_str(),
-                row.executor.c_str(), row.storage.c_str(), row.team,
+                row.executor.c_str(), row.team,
                 static_cast<int>(row.nrhs), static_cast<int>(row.tile_cols),
                 static_cast<int>(row.num_tiles), row.rows_n, row.nnz,
                 row.untiled_seconds, row.tiled_seconds, row.tiled_speedup,
@@ -277,7 +266,7 @@ int main() {
               multi_geomean, bitwise_ok ? "true" : "false");
 
   std::printf("\nclaim under test: the tiled walk is bitwise identical to "
-              "the one-tile walk on\nevery executor x storage x team "
+              "the one-tile walk on\nevery executor x team "
               "x nrhs configuration (speed is reported, not gated).\n");
   std::printf("multi-RHS (nrhs >= 8) tiled geomean speedup: %.2fx\n",
               multi_geomean);

@@ -13,12 +13,12 @@
 /// members to their leased cores — all bitwise-lossless, so every client
 /// still gets exact results. Prints the per-solver serving statistics,
 /// including the realized team sizes and pin/migration counters, the
-/// per-(team, storage) compute-vs-wait attribution rows, and the metrics
+/// per-team compute-vs-wait attribution rows, and the metrics
 /// registry. Set STS_TRACE_OUT=<file> to also record the whole run as a
 /// Perfetto/chrome trace_event JSON (load it at https://ui.perfetto.dev):
 /// every request's queue-wait, the coalesce decision, the core-budget
-/// lease, the pin outcome, plan/slab builds, and per-superstep
-/// compute/barrier spans on every executor thread.
+/// lease, the pin outcome, fold and peer-wait plan builds, and
+/// per-superstep compute/wait spans on every executor thread.
 ///
 ///   ./engine_serving
 ///   STS_TRACE_OUT=/tmp/serving_trace.json ./engine_serving
@@ -55,7 +55,6 @@ int main() {
 
   exec::SolverOptions options;
   options.num_threads = 2;
-  options.storage = exec::StorageKind::kSlab;  // packed-record walk
   auto solver = std::make_shared<const exec::TriangularSolver>(
       exec::TriangularSolver::analyze(lower, options));
   std::printf("analyzed once: %d supersteps, %.3f ms\n",
@@ -134,17 +133,15 @@ int main() {
   std::printf("slo controller: %llu proportional steps actuated\n",
               static_cast<unsigned long long>(stats.slo_steps));
 
-  // Where did executor-thread time go? One attribution row per
-  // (team size, storage layout) the engine actually ran.
+  // Where did executor-thread time go? One attribution row per team size
+  // the engine actually ran.
   const auto rows = engine.traceSummary(id);
   if (!rows.empty()) {
     std::printf("attribution (compute vs wait per executor thread):\n");
     for (const auto& row : rows) {
-      std::printf("  team %d %-7s %4llu batches  compute %8.3f ms  "
+      std::printf("  team %d %4llu batches  compute %8.3f ms  "
                   "wait %8.3f ms (%.1f%%, max %.3f ms)\n",
-                  row.team,
-                  row.storage == exec::StorageKind::kSlab ? "slab" : "csr",
-                  static_cast<unsigned long long>(row.batches),
+                  row.team, static_cast<unsigned long long>(row.batches),
                   row.compute_seconds * 1e3, row.wait_seconds * 1e3,
                   row.wait_fraction * 100.0, row.max_wait_seconds * 1e3);
     }

@@ -137,9 +137,9 @@ int SolverEngine::seedTeam(const exec::TriangularSolver& solver) {
   const int probe_team = cores.granted();
   // Probe on a fresh context (registration must not race the built-in
   // default context). The untimed warmup pays the one-time costs —
-  // fold-plan / slab build, OpenMP team spinup, cold matrix — so the timed
-  // pass measures the steady-state solve; a cold probe would overshoot and
-  // silently disable the cold start.
+  // fold-plan and peer-wait build, OpenMP team spinup, cold matrix — so
+  // the timed pass measures the steady-state solve; a cold probe would
+  // overshoot and silently disable the cold start.
   const auto n = static_cast<std::size_t>(solver.numRows());
   std::vector<double> b(n, 1.0);
   std::vector<double> x(n, 0.0);
@@ -570,8 +570,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   // cannot overlap any concurrent batch's cores (the leases are disjoint)
   // and its folded ranks keep a stable core for the whole batch.
   const bool pin_batch = pin_enabled_ && !cores.cores().empty();
-  // The solver's analyzed storage, for the stats and attribution rows.
-  const exec::StorageKind storage = solver.options().storage;
   std::uint64_t pinned_threads = 0;
   std::uint64_t migrated_threads = 0;
   bool tiled_batch = false;
@@ -718,7 +716,6 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
   if (pin_batch && !error && pinned_threads > 0) reg.pinned_batches += 1;
   reg.pinned_threads += pinned_threads;
   reg.migrated_threads += migrated_threads;
-  if (!error && storage == exec::StorageKind::kSlab) reg.slab_batches += 1;
   if (!error && tiled_batch) reg.tiled_batches += 1;
   reg.busy_seconds += batch_seconds;
   reg.pack_seconds += pack_elapsed;
@@ -732,15 +729,14 @@ void SolverEngine::executeBatch(std::vector<SolveRequest>& batch,
     reg.rhs_solved_counter->add(static_cast<std::uint64_t>(total_rhs));
     if (k > 1) reg.coalesced_rhs += static_cast<std::uint64_t>(k);
   }
-  // Fold the batch's compute/wait attribution into its (team, storage)
-  // summary row. Relaxed loads: the executor threads flushed before the
-  // solve call returned, and this thread performed that call. Compiled
+  // Fold the batch's compute/wait attribution into its team's summary
+  // row. Relaxed loads: the executor threads flushed before the solve
+  // call returned, and this thread performed that call. Compiled
   // out with the StepTracer bodies: an STS_TRACING=OFF build would only
   // ever record all-zero rows, so traceSummary() stays empty instead.
 #if STS_TRACING
   if (options_.trace && !error) {
-    TraceAccum& row =
-        reg.trace_rows[{team, static_cast<int>(storage)}];
+    TraceAccum& row = reg.trace_rows[team];
     row.batches += 1;
     row.thread_steps +=
         batch_trace.thread_steps.load(std::memory_order_relaxed);
@@ -790,7 +786,6 @@ SolverServingStats SolverEngine::stats(SolverId id) const {
     out.pinned_batches = reg.pinned_batches;
     out.pinned_threads = reg.pinned_threads;
     out.migrated_threads = reg.migrated_threads;
-    out.slab_batches = reg.slab_batches;
     out.tiled_batches = reg.tiled_batches;
     out.seeded_team = reg.seeded_team;
     out.slo_steps = reg.slo_steps;
@@ -832,10 +827,9 @@ std::vector<TraceSummaryRow> SolverEngine::traceSummary(SolverId id) const {
   std::vector<TraceSummaryRow> out;
   base::MutexLock lock(reg.stats_mu);
   out.reserve(reg.trace_rows.size());
-  for (const auto& [key, accum] : reg.trace_rows) {
+  for (const auto& [team, accum] : reg.trace_rows) {
     TraceSummaryRow row;
-    row.team = key.first;
-    row.storage = static_cast<exec::StorageKind>(key.second);
+    row.team = team;
     row.batches = accum.batches;
     row.thread_steps = accum.thread_steps;
     row.compute_seconds = static_cast<double>(accum.compute_ns) * 1e-9;
@@ -847,7 +841,7 @@ std::vector<TraceSummaryRow> SolverEngine::traceSummary(SolverId id) const {
     row.wait_fraction = total > 0.0 ? row.wait_seconds / total : 0.0;
     out.push_back(row);
   }
-  return out;  // std::map iteration: already sorted by (team, storage)
+  return out;  // std::map iteration: already sorted by team
 }
 
 const exec::TriangularSolver& SolverEngine::solver(SolverId id) const {

@@ -160,9 +160,9 @@ class SolverEngine {
   /// Snapshot of one solver's serving statistics. Thread-safe.
   SolverServingStats stats(SolverId id) const;
 
-  /// Per-(team, storage) compute-vs-wait attribution of one solver's
-  /// batches (EngineOptions::trace; empty when tracing is off or compiled
-  /// out). Rows are sorted by (team, storage). Thread-safe.
+  /// Per-team compute-vs-wait attribution of one solver's batches
+  /// (EngineOptions::trace; empty when tracing is off or compiled out).
+  /// Rows are sorted by team. Thread-safe.
   std::vector<TraceSummaryRow> traceSummary(SolverId id) const;
 
   /// The engine's metric registry: per-solver latency histograms
@@ -198,7 +198,7 @@ class SolverEngine {
     std::size_t next = 0;   ///< ring cursor
   };
 
-  /// Accumulated SolveTrace totals of one (team, storage) configuration.
+  /// Accumulated SolveTrace totals of one granted team width.
   struct TraceAccum {
     std::uint64_t batches = 0;
     std::uint64_t thread_steps = 0;
@@ -246,7 +246,6 @@ class SolverEngine {
     std::uint64_t pinned_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t pinned_threads STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t migrated_threads STS_GUARDED_BY(stats_mu) = 0;
-    std::uint64_t slab_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t tiled_batches STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t team_size_accum STS_GUARDED_BY(stats_mu) = 0;
     std::uint64_t slo_steps STS_GUARDED_BY(stats_mu) = 0;
@@ -258,9 +257,9 @@ class SolverEngine {
     /// Controller input: recent latencies only (stats quantiles come from
     /// latency_hist, which never forgets — see obs/registry.hpp).
     SloWindow slo_window STS_GUARDED_BY(stats_mu);
-    /// traceSummary() rows, keyed (team, storage); fed by each batch's
-    /// armed SolveTrace when EngineOptions::trace is on.
-    std::map<std::pair<int, int>, TraceAccum> trace_rows
+    /// traceSummary() rows, keyed by team; fed by each batch's armed
+    /// SolveTrace when EngineOptions::trace is on.
+    std::map<int, TraceAccum> trace_rows
         STS_GUARDED_BY(stats_mu);
     std::chrono::steady_clock::time_point first_submit STS_GUARDED_BY(stats_mu){};
     std::chrono::steady_clock::time_point last_complete STS_GUARDED_BY(stats_mu){};

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/storage.hpp"
 #include "sparse/types.hpp"
 
 /// \file types.hpp
@@ -88,7 +87,7 @@ class EngineError : public std::runtime_error {
 
 /// ## How the adaptive options interact
 ///
-/// `fold_policy` / `storage` (exec::SolverOptions), `target_p95`,
+/// `fold_policy` (exec::SolverOptions), `target_p95`,
 /// `core_budget`, `core_set`, and `pin_threads` compose; each owns one
 /// decision:
 ///
@@ -102,13 +101,12 @@ class EngineError : public std::runtime_error {
 /// | `fold_policy` (solver) | HOW ranks map onto the granted width | kModulo / kBinPack, fixed when the solver is analyzed; any width from the rules above executes losslessly |
 /// | `max_queue_depth`      | HOW MUCH backlog the queue may hold | 0 (default): unbounded (every accepted submission queues). >0: submissions beyond the bound resolve their future with `EngineError{kRejected}` — bounded memory and bounded queue delay instead of queue collapse. Composes with every row above; rejection happens before any adaptive machinery sees the request |
 /// | `overload_control`     | WHETHER throughput-class work is refused under pressure | off (default): nothing is rejected by pressure. on: an `OverloadController` (hysteresis like the SLO controller) estimates queue delay from depth x the registry's batch-latency histogram (and the oldest queued wait); while it is >= `overload_target_delay` new throughput-class submissions resolve with `EngineError{kRejected}`, and they are readmitted once it falls to (1 - `overload_hysteresis`) x target. Latency-class work is always admitted, and every admitted batch runs the exact executors (bitwise). Every transition is a trace instant + registry counter (`sts.engine.overload_steps`; `sts.engine.admitted/rejected/expired` count the outcomes) |
-/// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per (team, storage); executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
+/// | `trace`                | WHETHER batches attribute compute vs. wait | on (default): every batch arms a per-solve obs::SolveTrace so `traceSummary()` aggregates per-superstep compute/wait per team; executor threads batch the accounting locally and flush once per region. off: attribution idle (executors see a null sink — one branch per call site). Independent of the process-wide obs::TraceSession (Perfetto spans), which any thread can start regardless. Orthogonal to all rows above — tracing never changes results (bitwise) |
 ///
 /// Pipeline per batch: elastic policy picks a DESIRED width → CoreBudget
 /// grants an actual width (and, in core-set mode, which cores) →
-/// `fold_policy` folds the schedule onto that width → the plan walks the
-/// solver's analyzed `storage` → `pin_threads` nails each team member to
-/// its leased core. Every stage is bitwise-lossless, so all the
+/// `fold_policy` folds the schedule onto that width → `pin_threads` nails
+/// each team member to its leased core. Every stage is bitwise-lossless, so all the
 /// options can be toggled freely in production.
 struct EngineOptions {
   /// Persistent dispatcher threads executing batches. Each concurrent
@@ -165,8 +163,8 @@ struct EngineOptions {
   /// concrete, mutually disjoint CPU ids instead of an anonymous count
   /// (ids must be unique and >= 0; `core_budget` > 0 truncates the set to
   /// its first `core_budget` ids). Empty with `pin_threads` set: the set
-  /// is auto-detected from the constructing thread's affinity mask
-  /// (exec::systemCoreSet()).
+  /// is auto-detected from the process's affinity mask (exec::systemCoreSet(),
+  /// the main thread's mask, whichever thread constructs the engine).
   /// Empty without `pin_threads`: counting mode (PR 3 behavior).
   std::vector<int> core_set = {};
   /// Pin each batch's OpenMP team members to the batch's leased core ids
@@ -202,7 +200,7 @@ struct EngineOptions {
   double overload_hysteresis = 0.5;
   /// Arm per-batch compute-vs-wait attribution (obs::SolveTrace on the
   /// leased context): `traceSummary()` then reports per-superstep compute
-  /// and barrier/p2p-wait time per (team, storage) combination. The cost
+  /// and barrier/p2p-wait time per granted team width. The cost
   /// is one branch per superstep per executor thread plus two atomic adds
   /// per thread per batch — on by default. Off makes executors see a null
   /// sink. Orthogonal to the process-wide obs::TraceSession; disabling
@@ -259,9 +257,6 @@ struct SolverServingStats {
   /// the pin was taken — OS migrations the pin corrected (the locality
   /// leak of unpinned elastic serving, made visible).
   std::uint64_t migrated_threads = 0;
-  /// Batches executed on the slab (thread-local packed) storage layout —
-  /// those of a solver analyzed with SolverOptions::storage = kSlab.
-  std::uint64_t slab_batches = 0;
   /// Multi-RHS batches, all executed through the tiled layout:
   /// packed straight into the solver's column tiles and solved via
   /// solveTiles (or solveMultiRhs for a lone multi-RHS request).
@@ -301,15 +296,14 @@ struct SolverServingStats {
   double throughput_rhs_per_second = 0.0;
 };
 
-/// One (team, storage) attribution row of SolverEngine::traceSummary():
-/// where that configuration's batches spent their executor time, split
+/// One per-team attribution row of SolverEngine::traceSummary(): where
+/// that team width's batches spent their executor time, split
 /// into per-superstep compute and synchronization wait (superstep peer
 /// waits + P2P dependency spins) as measured by the per-thread
 /// StepTracers. Wait fraction is the paper's Table 7.2 axis — barrier
 /// overhead share — observable on production solves.
 struct TraceSummaryRow {
   int team = 0;  ///< granted OpenMP team width of these batches
-  sts::exec::StorageKind storage = sts::exec::StorageKind::kSharedCsr;
   std::uint64_t batches = 0;       ///< batches aggregated into this row
   std::uint64_t thread_steps = 0;  ///< (superstep, thread) pairs executed
   double compute_seconds = 0.0;    ///< summed per-thread compute time

@@ -1,5 +1,9 @@
 #include "exec/affinity.hpp"
 
+#if STS_HAS_AFFINITY
+#include <unistd.h>
+#endif
+
 namespace sts::exec {
 
 #if STS_HAS_AFFINITY
@@ -21,7 +25,7 @@ std::vector<int> maskToIds(const cpu_set_t& mask) {
 std::vector<int> systemCoreSet() {
   cpu_set_t mask;
   CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return {};
+  if (sched_getaffinity(getpid(), sizeof(mask), &mask) != 0) return {};
   return maskToIds(mask);
 }
 

@@ -43,18 +43,21 @@ namespace sts::exec {
 /// no-op: pins report unpinned, queries come back empty.
 bool affinitySupported();
 
-/// Logical CPU ids the calling thread may run on, ascending
-/// (sched_getaffinity(0), which Linux answers per thread). Called from an
-/// unpinned thread this is the mask the process was started with (e.g.
-/// by taskset); under a live ScopedPin it is the pinned CPU. The default
-/// core universe for engine::CoreBudget's core-set mode when
-/// EngineOptions::core_set is not given. Empty when unsupported.
+/// Logical CPU ids the process may run on, ascending: its main thread's
+/// mask (sched_getaffinity(getpid())), i.e. the mask the process was
+/// started with (e.g. by taskset). Linux answers sched_getaffinity(0) per
+/// calling thread, so the pid is passed explicitly: a ScopedPin on any
+/// other thread leaves this set unchanged, whichever thread asks. The
+/// default core universe for engine::CoreBudget's core-set mode when
+/// EngineOptions::core_set is not given, and the clamp of
+/// TriangularSolver::defaultTeam(). Empty when unsupported.
 std::vector<int> systemCoreSet();
 
 /// Logical CPU ids the calling thread may run on, ascending
-/// (pthread_getaffinity_np on pthread_self()): the same mask as
-/// systemCoreSet(), read through the pthread interface that ScopedPin
-/// sets. Empty when unsupported.
+/// (pthread_getaffinity_np on pthread_self()): the mask ScopedPin sets.
+/// Under a live ScopedPin it is the pinned CPU, narrower than
+/// systemCoreSet() unless the pinned thread is the main one. Empty when
+/// unsupported.
 std::vector<int> threadAffinity();
 
 /// Logical CPU the calling thread is executing on right now

@@ -59,21 +59,11 @@ detail::FoldedLists foldRows(const detail::FoldedLists& full, index_t steps,
                                  rank_map);
 }
 
-/// The row-list form a slab packs: the lists themselves, or a range plan's
-/// rows in its exact walk order (so slab results stay bitwise identical).
-const detail::FoldedLists& rowListsOf(const detail::FoldedLists& lists) {
-  return lists;
-}
-detail::FoldedLists rowListsOf(const detail::FoldedRanges& ranges) {
-  return detail::rowLists(ranges);
-}
-
 }  // namespace
 
 BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule,
-                         core::FoldPolicy policy, StorageKind storage)
-    : Executor(lower, schedule.numCores(), schedule.numSupersteps(), policy,
-               storage) {
+                         core::FoldPolicy policy)
+    : Executor(lower, schedule.numCores(), schedule.numSupersteps(), policy) {
   if (schedule.numVertices() != lower.rows()) {
     throw std::invalid_argument("BspExecutor: schedule/matrix size mismatch");
   }
@@ -87,8 +77,8 @@ BspExecutor::BspExecutor(const CsrMatrix& lower, const Schedule& schedule,
 BspExecutor::BspExecutor(const CsrMatrix& permuted_lower,
                          index_t num_supersteps, int num_cores,
                          std::vector<offset_t> group_ptr,
-                         core::FoldPolicy policy, StorageKind storage)
-    : Executor(permuted_lower, num_cores, num_supersteps, policy, storage) {
+                         core::FoldPolicy policy)
+    : Executor(permuted_lower, num_cores, num_supersteps, policy) {
   const size_t groups = static_cast<size_t>(num_supersteps) *
                         static_cast<size_t>(num_cores);
   if (group_ptr.size() != groups + 1 || group_ptr.front() != 0 ||
@@ -119,17 +109,11 @@ BspExecutor::BspExecutor(const CsrMatrix& permuted_lower,
 
 BspExecutor::TeamPlan BspExecutor::makePlan(Rows rows,
                                             [[maybe_unused]] int team) const {
-  TeamPlan plan{std::move(rows), {}, {}};
+  TeamPlan plan{std::move(rows), {}};
   std::visit(
       [&](const auto& r) {
-        {
-          STS_TRACE_SPAN1("plan", "wait_build", "team", team);
-          plan.waits = detail::buildPeerWaits(lower_, r);
-        }
-        if (storage_ == StorageKind::kSlab) {
-          STS_TRACE_SPAN1("plan", "slab_build", "team", team);
-          plan.slab = detail::buildSlabPlan(lower_, rowListsOf(r));
-        }
+        STS_TRACE_SPAN1("plan", "wait_build", "team", team);
+        plan.waits = detail::buildPeerWaits(lower_, r);
       },
       plan.rows);
   return plan;
@@ -152,15 +136,12 @@ void BspExecutor::walk(SolveContext& ctx, int team, std::size_t tiles,
                        const Kernel& kernel, const char* who) const {
   requireSolve(ctx, team, who);
   const TeamPlan& p = plan(team);
-  const auto run = [&](const auto& rows) {
-    detail::TeamWalk::supersteps(ctx, team, num_supersteps_, rows, p.waits,
-                                 tiles, kernel);
-  };
-  if (storage_ == StorageKind::kSlab) {
-    run(p.slab);
-  } else {
-    std::visit(run, p.rows);
-  }
+  std::visit(
+      [&](const auto& rows) {
+        detail::TeamWalk::supersteps(ctx, team, num_supersteps_, rows,
+                                     p.waits, tiles, kernel);
+      },
+      p.rows);
 }
 
 void BspExecutor::solve(std::span<const double> b, std::span<double> x,

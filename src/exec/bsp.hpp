@@ -8,7 +8,6 @@
 #include "exec/elastic.hpp"
 #include "exec/executor.hpp"
 #include "exec/peer_waits.hpp"
-#include "exec/slab.hpp"
 #include "sparse/csr.hpp"
 
 /// \file bsp.hpp
@@ -26,11 +25,9 @@
 ///     group is a contiguous row range of the permuted matrix, so the work
 ///     lists are just range boundaries — the best-locality configuration.
 ///
-/// A team's plan bundles its rows, its peer waits and, for an executor
-/// constructed with StorageKind::kSlab, its slab records (slab.hpp; the
-/// same rows in the same order, so storage never changes results). The
-/// full-width plan is built at construction; folded ones on a team's
-/// first solve (Executor contract, executor.hpp).
+/// A team's plan bundles its rows and their peer waits. The full-width
+/// plan is built at construction; folded ones on a team's first solve
+/// (Executor contract, executor.hpp).
 
 namespace sts::exec {
 
@@ -46,16 +43,14 @@ class BspExecutor final : public Executor {
   /// responsibility; the constructor re-checks the matrix but not the
   /// schedule (O(V·E) validation is opt-in).
   BspExecutor(const CsrMatrix& lower, const Schedule& schedule,
-              core::FoldPolicy policy = core::FoldPolicy::kModulo,
-              StorageKind storage = StorageKind::kSharedCsr);
+              core::FoldPolicy policy = core::FoldPolicy::kModulo);
 
   /// Row-range plan: group (s, p) is the row range
   /// [group_ptr[g], group_ptr[g + 1]) of `permuted_lower`,
   /// g = s * num_cores + p (core::reorderForLocality's layout).
   BspExecutor(const CsrMatrix& permuted_lower, index_t num_supersteps,
               int num_cores, std::vector<offset_t> group_ptr,
-              core::FoldPolicy policy = core::FoldPolicy::kModulo,
-              StorageKind storage = StorageKind::kSharedCsr);
+              core::FoldPolicy policy = core::FoldPolicy::kModulo);
 
   void solve(std::span<const double> b, std::span<double> x,
              SolveContext& ctx, int team) const override;
@@ -72,20 +67,15 @@ class BspExecutor final : public Executor {
   struct TeamPlan {
     Rows rows;
     detail::PeerWaits waits;
-    detail::SlabPlan slab;  ///< empty unless storage() == kSlab
   };
 
-  /// Completes a team's plan from its rows: builds the peer waits and,
-  /// under kSlab, the slab records.
+  /// Completes a team's plan from its rows: builds the peer waits.
   TeamPlan makePlan(Rows rows, int team) const;
   /// The plan of a `team`-thread team: the full-width plan, or the rows
   /// folded by rankMap(team) on first use and cached. Folded range runs
   /// keep the row-list concatenation order of Schedule::foldWith —
   /// test_elastic pins the implementations to each other.
   const TeamPlan& plan(int team) const;
-  const detail::SlabPlan& slabPlan(int team) const override {
-    return plan(team).slab;
-  }
   /// Checks (team, ctx) and runs the superstep walk of `kernel` over the
   /// team's plan, `tiles` passes per superstep.
   template <typename Kernel>

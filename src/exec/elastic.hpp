@@ -45,7 +45,7 @@ struct FoldedRanges {
 };
 
 /// The row-list form of a range plan, in the exact range walk order (the
-/// shape buildSlabPlan packs and the check:: validators audit).
+/// shape the check:: validators audit).
 FoldedLists rowLists(const FoldedRanges& plan);
 
 /// Folds `width`-thread work lists onto `team` threads by an explicit
@@ -79,8 +79,8 @@ inline void requireTeamSize(int team, int width, const char* who) {
   }
 }
 
-/// Lazily built execution plans keyed by team size (the fold policy and
-/// storage are fixed per executor at construction). Plans are immutable
+/// Lazily built execution plans keyed by team size (the fold policy is
+/// fixed per executor at construction). Plans are immutable
 /// once published, so the fast path is a single acquire load; the first
 /// solve at a given team builds the plan under a mutex (concurrent solves
 /// at other teams proceed on their published plans meanwhile — only
@@ -124,7 +124,7 @@ class TeamPlanCache {
   /// the enclosing cache's mutex, so the build mutex itself (base::Mutex
   /// + scoped MutexLock) carries the checked discipline here and the
   /// publication ordering stays a TSan-certified contract
-  /// (tests/test_slab.cpp, tests/test_elastic.cpp Concurrent suites).
+  /// (tests/test_elastic.cpp, tests/test_tiled.cpp Concurrent suites).
   struct Slot {
     std::atomic<const Plan*> published{nullptr};
     std::unique_ptr<const Plan> owned;

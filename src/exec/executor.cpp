@@ -2,15 +2,13 @@
 
 #include "exec/elastic.hpp"
 #include "exec/serial.hpp"
-#include "exec/slab.hpp"
 
 namespace sts::exec {
 
 Executor::Executor(const sparse::CsrMatrix& lower, int num_threads,
-                   sts::index_t num_supersteps, core::FoldPolicy policy,
-                   StorageKind storage)
+                   sts::index_t num_supersteps, core::FoldPolicy policy)
     : lower_(lower), num_threads_(num_threads),
-      num_supersteps_(num_supersteps), policy_(policy), storage_(storage) {
+      num_supersteps_(num_supersteps), policy_(policy) {
   requireSolvableLower(lower);
 }
 
@@ -23,14 +21,6 @@ void Executor::requireSolve(const SolveContext& ctx, int team,
 std::vector<int> Executor::rankMap(int team) const {
   return core::foldRankMap(num_supersteps_, num_threads_, team, policy_,
                            rank_loads_);
-}
-
-std::size_t Executor::storageBytesMoved(int team) const {
-  detail::requireTeamSize(team, num_threads_, "Executor::storageBytesMoved");
-  if (storage_ == StorageKind::kSlab) {
-    return detail::slabBytesMoved(slabPlan(team));
-  }
-  return csrBytesMoved(lower_.rows(), lower_.nnz());
 }
 
 }  // namespace sts::exec

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <cstddef>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "core/schedule.hpp"
 #include "exec/solve_context.hpp"
-#include "exec/storage.hpp"
 #include "exec/tile.hpp"
 #include "sparse/csr.hpp"
 
@@ -15,9 +13,9 @@
 /// The interface of the two executors: BspExecutor (the superstep walk,
 /// over row lists or the reordered problem's row ranges) and P2pExecutor
 /// (the SpMP-style flag walk). Everything that shapes a solve except its
-/// team is an analysis product: the schedule, the fold policy mapping
-/// ranks onto a smaller team, and the storage the hot loop walks are fixed
-/// at construction. A solve takes its data, a context and a team.
+/// team is an analysis product: the schedule and the fold policy mapping
+/// ranks onto a smaller team are fixed at construction. A solve takes its
+/// data, a context and a team; every solve walks the analyzed CSR.
 ///
 /// Reentrancy contract (see solve_context.hpp): executors are immutable
 /// after construction; everything a solve mutates lives in its
@@ -26,14 +24,9 @@
 /// Elasticity: a solve may run on any team 1 <= team <= numThreads(); the
 /// plan is folded onto the team under the executor's fold policy and
 /// cached per team (elastic.hpp), so its build is paid once. Results are
-/// bitwise equal to the full-width solve for every team, policy and
-/// storage.
+/// bitwise equal to the full-width solve for every team and policy.
 
 namespace sts::exec {
-
-namespace detail {
-struct SlabPlan;
-}  // namespace detail
 
 class Executor {
  public:
@@ -56,12 +49,6 @@ class Executor {
                           const TileLayout& layout, SolveContext& ctx,
                           int team) const = 0;
 
-  /// Matrix bytes one full sweep streams on a `team`-thread team: the CSR
-  /// under kSharedCsr, the team's slab records under kSlab (building the
-  /// team's plan on demand) — the plans' side of the tools/roofline.py
-  /// byte model.
-  std::size_t storageBytesMoved(int team) const;
-
   /// A fresh context shaped for this executor.
   std::unique_ptr<SolveContext> createContext() const {
     return std::make_unique<SolveContext>(num_threads_, lower_.rows());
@@ -73,8 +60,7 @@ class Executor {
  protected:
   /// `lower` must satisfy requireSolvableLower (checked here).
   Executor(const sparse::CsrMatrix& lower, int num_threads,
-           sts::index_t num_supersteps, core::FoldPolicy policy,
-           StorageKind storage);
+           sts::index_t num_supersteps, core::FoldPolicy policy);
 
   /// Throws std::invalid_argument unless `team` is a valid team and `ctx`
   /// can host its solve.
@@ -83,14 +69,10 @@ class Executor {
   /// policy_, from the per-(superstep, rank) loads in rank_loads_.
   std::vector<int> rankMap(int team) const;
 
-  /// The slab records of the `team`-thread plan (kSlab executors only).
-  virtual const detail::SlabPlan& slabPlan(int team) const = 0;
-
   const sparse::CsrMatrix& lower_;
   int num_threads_ = 0;
   sts::index_t num_supersteps_ = 0;
   core::FoldPolicy policy_;
-  StorageKind storage_;
   /// Per-(superstep, rank) nnz loads of the full-width plan
   /// (superstep-major); feeds the kBinPack rank maps.
   std::vector<core::weight_t> rank_loads_;

@@ -10,18 +10,15 @@
 namespace sts::exec {
 
 P2pExecutor::P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
-                         const Dag& sync_dag, core::FoldPolicy policy,
-                         StorageKind storage)
-    : Executor(lower, schedule.numCores(), schedule.numSupersteps(), policy,
-               storage) {
+                         const Dag& sync_dag, core::FoldPolicy policy)
+    : Executor(lower, schedule.numCores(), schedule.numSupersteps(), policy) {
   const index_t n = lower.rows();
   if (schedule.numVertices() != n || sync_dag.numVertices() != n) {
     throw std::invalid_argument("P2pExecutor: size mismatch");
   }
-  full_ = makePlan(detail::listsFromSchedule(schedule), num_threads_);
-  rank_loads_ = detail::threadListLoads(full_.order.verts,
-                                        full_.order.step_ptr, num_supersteps_,
-                                        lower.rowPtr());
+  full_ = detail::listsFromSchedule(schedule);
+  rank_loads_ = detail::threadListLoads(full_.verts, full_.step_ptr,
+                                        num_supersteps_, lower.rowPtr());
   folded_.init(num_threads_, &full_);
 
   // Cross-thread parents in the sync DAG, flattened per vertex.
@@ -48,25 +45,11 @@ P2pExecutor::P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
   cross_deps_ = wait_ptr_.back();
 }
 
-P2pExecutor::TeamPlan P2pExecutor::makePlan(
-    detail::FoldedLists order, [[maybe_unused]] int team) const {
-  TeamPlan plan{std::move(order), {}};
-  if (storage_ == StorageKind::kSlab) {
-    STS_TRACE_SPAN1("plan", "slab_build", "team", team);
-    plan.slab = detail::buildSlabPlan(lower_, plan.order);
-  }
-  return plan;
-}
-
-const P2pExecutor::TeamPlan& P2pExecutor::plan(int team) const {
+const detail::FoldedLists& P2pExecutor::plan(int team) const {
   return folded_.get(team, [this](int t) {
-    detail::FoldedLists order;
-    {
-      STS_TRACE_SPAN1("plan", "fold_build", "team", t);
-      order = detail::foldThreadLists(full_.order.verts, full_.order.step_ptr,
-                                      num_supersteps_, t, rankMap(t));
-    }
-    return makePlan(std::move(order), t);
+    STS_TRACE_SPAN1("plan", "fold_build", "team", t);
+    return detail::foldThreadLists(full_.verts, full_.step_ptr,
+                                   num_supersteps_, t, rankMap(t));
   });
 }
 
@@ -74,15 +57,8 @@ template <typename Kernel>
 void P2pExecutor::walk(SolveContext& ctx, int team, std::size_t tile,
                        const Kernel& kernel, const char* who) const {
   requireSolve(ctx, team, who);
-  const TeamPlan& p = plan(team);
-  const detail::WaitLists waits{wait_ptr_, wait_adj_};
-  if (storage_ == StorageKind::kSlab) {
-    detail::TeamWalk::p2p(ctx, team, num_supersteps_, p.slab, p.order, waits,
-                          tile, kernel);
-  } else {
-    detail::TeamWalk::p2p(ctx, team, num_supersteps_, p.order, p.order, waits,
-                          tile, kernel);
-  }
+  detail::TeamWalk::p2p(ctx, team, num_supersteps_, plan(team),
+                        detail::WaitLists{wait_ptr_, wait_adj_}, tile, kernel);
 }
 
 void P2pExecutor::solve(std::span<const double> b, std::span<double> x,

@@ -7,7 +7,6 @@
 #include "dag/dag.hpp"
 #include "exec/elastic.hpp"
 #include "exec/executor.hpp"
-#include "exec/slab.hpp"
 #include "sparse/csr.hpp"
 
 /// \file p2p.hpp
@@ -26,8 +25,7 @@
 /// own thread is computed earlier in that thread's list, so its spin
 /// resolves immediately. Deadlock freedom carries over for any
 /// rank-granularity map because folded cross-thread parents still sit in
-/// strictly earlier supersteps. Under kSlab each thread streams its packed
-/// records; the wait lists stay keyed by the vertex id each record carries.
+/// strictly earlier supersteps.
 
 namespace sts::exec {
 
@@ -45,8 +43,7 @@ class P2pExecutor final : public Executor {
   /// full DAG is valid but waits on more edges).
   P2pExecutor(const CsrMatrix& lower, const Schedule& schedule,
               const Dag& sync_dag,
-              core::FoldPolicy policy = core::FoldPolicy::kModulo,
-              StorageKind storage = StorageKind::kSharedCsr);
+              core::FoldPolicy policy = core::FoldPolicy::kModulo);
 
   /// `ctx` carries the epoch-stamped completion flags.
   void solve(std::span<const double> b, std::span<double> x,
@@ -54,7 +51,7 @@ class P2pExecutor final : public Executor {
   /// The completion flags are epoch-granular — they cannot express "row i
   /// done for tile t" — so the executor runs one full dependency-resolved
   /// pass per tile, each under a fresh epoch. The tiled walk therefore
-  /// re-streams storageBytesMoved() once per tile AND per pass.
+  /// re-streams the matrix once per tile.
   void solveTiles(std::span<const double> b, std::span<double> x,
                   const TileLayout& layout, SolveContext& ctx,
                   int team) const override;
@@ -64,22 +61,11 @@ class P2pExecutor final : public Executor {
   offset_t numCrossDependencies() const { return cross_deps_; }
 
  private:
-  /// A team's per-thread vertex execution order (superstep boundaries
-  /// kept so the lists can fold onto smaller teams) and, for a kSlab
-  /// executor, the same rows as slab records.
-  struct TeamPlan {
-    detail::FoldedLists order;
-    detail::SlabPlan slab;
-  };
-
-  /// Completes a team's plan from its order: under kSlab, packs the slab.
-  TeamPlan makePlan(detail::FoldedLists order, int team) const;
-  /// The plan of a `team`-thread team: the full-width plan, or the order
-  /// folded by rankMap(team) on first use and cached.
-  const TeamPlan& plan(int team) const;
-  const detail::SlabPlan& slabPlan(int team) const override {
-    return plan(team).slab;
-  }
+  /// The per-thread vertex execution order of a `team`-thread team
+  /// (superstep boundaries kept so the lists can fold onto smaller teams):
+  /// the full-width order, or that order folded by rankMap(team) on first
+  /// use and cached.
+  const detail::FoldedLists& plan(int team) const;
   /// Checks (team, ctx) and runs one P2P walk of `kernel` on RHS tile
   /// `tile` over the team's plan.
   template <typename Kernel>
@@ -87,13 +73,13 @@ class P2pExecutor final : public Executor {
             const Kernel& kernel, const char* who) const;
 
   offset_t cross_deps_ = 0;
-  /// The full-width plan; also the source every folded plan is built from.
-  TeamPlan full_;
+  /// The full-width order; also the source every folded one is built from.
+  detail::FoldedLists full_;
   /// wait_list of vertex v: cross-thread parents in the sync DAG, stored
   /// flat: wait_adj_[wait_ptr_[v] .. wait_ptr_[v+1]).
   std::vector<offset_t> wait_ptr_;
   std::vector<index_t> wait_adj_;
-  detail::TeamPlanCache<TeamPlan> folded_;
+  detail::TeamPlanCache<detail::FoldedLists> folded_;
 };
 
 }  // namespace sts::exec

@@ -20,8 +20,7 @@
 /// listed only if r is newer than the last superstep t already waited on
 /// for u — progress words are monotone, so an older pair is implied.
 /// A plan belongs to one row plan (FoldedLists or FoldedRanges of one team
-/// size and fold policy) and is cached beside it; the slab plan of the
-/// same key shares it, since a slab keeps its row plan's rows and order.
+/// size and fold policy) and is cached beside it.
 
 namespace sts::exec::detail {
 

@@ -16,17 +16,15 @@
 ///
 /// Per row and RHS column the sequence is: init from b, subtract the
 /// off-diagonal terms in CSR order, one divide by the diagonal. The forms:
-///   * computeRow — one RHS on the shared CSR, indexed through row_ptr
-///     (the StorageKind::kSharedCsr walk);
-///   * computeRowPacked — one RHS on a row's packed off-diagonal cols/vals
-///     + diagonal (the StorageKind::kSlab walk; see slab.hpp);
-///   * computeRowMultiPacked / computeRowMultiTiled — one n x r RHS tile
-///     (tile.hpp) on a packed or CSR row, VECTORIZED ACROSS RHS COLUMNS in
+///   * computeRow — one RHS, the CSR row indexed through row_ptr;
+///   * computeRowMultiTiled — one n x r RHS tile (tile.hpp), the CSR row
+///     sliced into its off-diagonal cols/vals + diagonal and handed to
+///     computeRowMultiPacked, which is VECTORIZED ACROSS RHS COLUMNS in
 ///     fixed-width register blocks (r = 8, then 4, then a variable tail).
 ///     Blocking the column loop never reorders any single column's
 ///     floating-point operations, so column c is bitwise equal to a
-///     single-RHS solve of that column (tests/test_slab.cpp and
-///     tests/test_tiled.cpp pin this for every executor).
+///     single-RHS solve of that column (tests/test_tiled.cpp pins this
+///     for every executor).
 
 namespace sts::exec::detail {
 
@@ -43,20 +41,6 @@ inline void computeRow(std::span<const offset_t> row_ptr,
     acc -= values[k] * x[static_cast<size_t>(col_idx[k])];
   }
   x[static_cast<size_t>(i)] = acc / values[diag];
-}
-
-/// Packed-row form of computeRow: `cols`/`vals` are the row's nnz
-/// off-diagonal entries in CSR order, `diag` its diagonal. The identical
-/// arithmetic sequence, so x[i] is bitwise equal to computeRow's.
-inline void computeRowPacked(const index_t* cols, const double* vals,
-                             std::size_t nnz, double diag,
-                             std::span<const double> b, std::span<double> x,
-                             index_t i) {
-  double acc = b[static_cast<size_t>(i)];
-  for (std::size_t k = 0; k < nnz; ++k) {
-    acc -= vals[k] * x[static_cast<size_t>(cols[k])];
-  }
-  x[static_cast<size_t>(i)] = acc / diag;
 }
 
 /// One fixed-width column block of the packed multi-RHS step: columns
@@ -84,7 +68,8 @@ inline void computeRowMultiPackedFixed(const index_t* cols,
   for (std::size_t c = 0; c < R; ++c) xi[c] = acc[c] / diag;
 }
 
-/// Packed multi-RHS substitution step, vectorized across the RHS columns:
+/// Multi-RHS substitution step on a row's nnz off-diagonal `cols`/`vals`
+/// (CSR order) and its `diag`, vectorized across the RHS columns:
 /// register blocks of 8, then 4, then a variable tail on the remaining
 /// columns. Column c of the result is bitwise equal to computeRow on
 /// column c for every r.
@@ -118,9 +103,7 @@ inline void computeRowMultiPacked(const index_t* cols, const double* vals,
 /// Tiled multi-RHS substitution step over one RHS column tile: `b_tile`
 /// and `x_tile` are a contiguous n x w row-major tile (TileLayout,
 /// tile.hpp) and `w` its width. Slices the CSR row at row_ptr and runs the
-/// register-blocked packed kernel on it — the shared-CSR analogue of the
-/// slab walk's computeRowMultiPacked, giving the CSR tile loop the same
-/// across-column vectorization. Column c of the tile is bitwise equal to
+/// register-blocked computeRowMultiPacked on it. Column c of the tile is bitwise equal to
 /// the single-RHS solve of column tileBegin + c because blocking never
 /// reorders a single column's operations (the file-top contract).
 inline void computeRowMultiTiled(std::span<const offset_t> row_ptr,

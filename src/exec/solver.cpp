@@ -128,7 +128,6 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
                        options.scheduler != SchedulerKind::kSpmp &&
                        options.scheduler != SchedulerKind::kSerial;
   const core::FoldPolicy policy = options.fold_policy;
-  const StorageKind storage = options.storage;
   if (reorder) {
     core::ReorderedProblem problem =
         core::reorderForLocality(*solver.matrix_, solver.schedule_);
@@ -139,13 +138,13 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
         std::make_shared<const CsrMatrix>(std::move(problem.matrix));
     solver.executor_ = std::make_unique<BspExecutor>(
         *solver.matrix_, problem.num_supersteps, problem.num_cores,
-        std::move(problem.group_ptr), policy, storage);
+        std::move(problem.group_ptr), policy);
   } else if (options.scheduler == SchedulerKind::kSpmp) {
     solver.executor_ = std::make_unique<P2pExecutor>(
-        *solver.matrix_, solver.schedule_, spmp->reduced_dag, policy, storage);
+        *solver.matrix_, solver.schedule_, spmp->reduced_dag, policy);
   } else {
     solver.executor_ = std::make_unique<BspExecutor>(
-        *solver.matrix_, solver.schedule_, policy, storage);
+        *solver.matrix_, solver.schedule_, policy);
   }
   solver.analysis_seconds_ =
       std::chrono::duration<double>(Clock::now() - t0).count();
@@ -154,10 +153,10 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
 
   // The lossless clamp: schedules keep their analyzed width (folding
   // re-targets them to any t <= numThreads() at solve time), but the
-  // default execution team never exceeds the CPUs the analyzing thread may
-  // run on — oversubscribed superstep waiters would otherwise yield-spin
-  // against absent cores. hardware_concurrency() counts online CPUs, not
-  // the affinity mask, so it is only the fallback.
+  // default execution team never exceeds the CPUs the process may run on —
+  // oversubscribed superstep waiters would otherwise yield-spin against
+  // absent cores. hardware_concurrency() counts online CPUs, not the
+  // affinity mask, so it is only the fallback.
   const auto mask = static_cast<int>(systemCoreSet().size());
   const int usable =
       mask > 0 ? mask : static_cast<int>(std::thread::hardware_concurrency());
@@ -269,15 +268,15 @@ void TriangularSolver::solveTiles(std::span<const double> b_tiled,
   executor_->solveTiles(b_tiled, x_tiled, layout, ctx, clampTeam(team));
 }
 
-std::size_t TriangularSolver::storageBytesMoved(int threads,
-                                                core::FoldPolicy policy,
-                                                StorageKind storage) const {
-  if (policy != options_.fold_policy || storage != options_.storage) {
+std::size_t TriangularSolver::storageBytesMoved(
+    int threads, core::FoldPolicy policy, StorageKind /*storage*/) const {
+  if (policy != options_.fold_policy) {
     throw std::invalid_argument(
-        "TriangularSolver::storageBytesMoved: policy and storage must be "
-        "the solver's own");
+        "TriangularSolver::storageBytesMoved: policy must be the solver's "
+        "own");
   }
-  return executor_->storageBytesMoved(clampTeam(threads));
+  (void)clampTeam(threads);  // a team below 1 throws, as in a solve
+  return csrBytesMoved(matrix_->rows(), matrix_->nnz());
 }
 
 void TriangularSolver::solvePermuted(std::span<const double> b,

@@ -12,7 +12,6 @@
 #include "core/schedule.hpp"
 #include "exec/executor.hpp"
 #include "exec/solve_context.hpp"
-#include "exec/storage.hpp"
 #include "sparse/csr.hpp"
 
 /// \file solver.hpp
@@ -38,9 +37,8 @@
 ///
 /// ## Elasticity contract
 ///
-/// Analyze once, solve many times (§1): the schedule, the §5 reordering,
-/// the fold policy and the storage are analysis products, fixed by
-/// SolverOptions. Only the team width is re-targeted per solve: every
+/// Analyze once, solve many times (§1): the schedule, the §5 reordering
+/// and the fold policy are analysis products, fixed by SolverOptions. Only the team width is re-targeted per solve: every
 /// context-taking solve accepts an optional `team`,
 /// 1 <= team <= numThreads(), executing the schedule folded onto that many
 /// OpenMP threads (Schedule::foldTo; folded plans are cached per team
@@ -57,12 +55,9 @@
 ///
 /// ## Storage
 ///
-/// SolverOptions::storage selects how the hot loop walks the matrix:
-/// kSharedCsr (the analyzed CSR, row_ptr indirection) or kSlab (per-thread
-/// packed record streams built per team and cached inside the executor —
-/// see storage.hpp / slab.hpp; only a kSlab solver builds them). Storage
-/// is a pure layout choice: results are bitwise identical under both kinds
-/// for every executor, team, policy, and RHS count (tests/test_slab.cpp).
+/// Every solve walks the one analyzed CSR through row_ptr. With the §5
+/// reordering each (superstep, core) group is a contiguous row range of
+/// it, so a thread streams its rows in order without a private copy.
 ///
 /// ## Affinity
 ///
@@ -118,10 +113,6 @@ struct SolverOptions {
   /// Rank map of elastic (folded-team) solves: kModulo is the p mod t
   /// fold; kBinPack packs ranks by per-superstep load.
   core::FoldPolicy fold_policy = core::FoldPolicy::kModulo;
-  /// Matrix layout of the solve hot path. kSharedCsr walks the analyzed
-  /// CSR; kSlab streams per-thread packed row records (built per team like
-  /// the folded plans — storage.hpp). Bitwise identical results either way.
-  StorageKind storage = StorageKind::kSharedCsr;
   /// RHS column-tile width of the tiled multi-RHS path (tile.hpp); 0 sizes
   /// it automatically from the detected cache geometry (pickTileCols,
   /// overridable by STS_TILE_COLS). Explicit tileLayout() arguments
@@ -129,6 +120,10 @@ struct SolverOptions {
   /// bitwise identical for every width.
   index_t tile_cols = 0;
 };
+
+/// The matrix layout argument of TriangularSolver::storageBytesMoved.
+/// Every solve walks the analyzed CSR, so kSharedCsr is the only value.
+enum class StorageKind { kSharedCsr = 0 };
 
 /// The analyze-once product: an immutable bundle of (normalized matrix,
 /// validated Schedule, executor with cached fold plans, permutation). All
@@ -181,11 +176,11 @@ class TriangularSolver {
   /// pickTileCols default.
   TileLayout tileLayout(index_t nrhs, index_t tile_cols = 0) const;
 
-  /// Matrix bytes one full sweep of this solver's storage streams on a
-  /// `threads`-wide team (clamped like a solve's team); the plans' side of
-  /// the tools/roofline.py byte model. `policy` and `storage` must be the
-  /// solver's own (options()); anything else throws std::invalid_argument,
-  /// since no plan of another policy or storage exists.
+  /// Matrix bytes one full sweep streams on a `threads`-wide team (clamped
+  /// like a solve's team): the analyzed CSR (csrBytesMoved), whatever the
+  /// team; the matrix side of the tools/roofline.py byte model. `policy`
+  /// must be the solver's own (options().fold_policy); another throws
+  /// std::invalid_argument, since no plan of another policy exists.
   std::size_t storageBytesMoved(int threads, core::FoldPolicy policy,
                                 StorageKind storage) const;
 
@@ -209,10 +204,12 @@ class TriangularSolver {
   /// maximum per-solve team size.
   int numThreads() const { return executor_->numThreads(); }
   /// Effective team of a solve without an explicit team: numThreads()
-  /// clamped to the CPUs in the analyzing thread's affinity mask, read at
-  /// analyze() (online CPUs where the mask cannot be read). A solver
-  /// analyzed on a thread pinned to one CPU gets 1. Folding makes
-  /// the clamp lossless (bitwise-identical results on the same schedule).
+  /// clamped to the CPUs in the process's affinity mask (systemCoreSet(),
+  /// its main thread's mask), read at analyze() (online CPUs where the
+  /// mask cannot be read). A process started under `taskset -c 0` gets 1;
+  /// a pin on some other analyzing thread does not shrink it. Folding
+  /// makes the clamp lossless (bitwise-identical results on the same
+  /// schedule).
   int defaultTeam() const { return default_team_; }
   const SolverOptions& options() const { return options_; }
   const Schedule& schedule() const { return schedule_; }

@@ -11,8 +11,8 @@
 
 /// \file tile.hpp
 /// Cache-aware column tiling of the multi-RHS right-hand-side/solution
-/// matrix (the StorageKind-orthogonal RHS layout of every multi-RHS
-/// solve; a row-major n x nrhs matrix is the one-tile layout).
+/// matrix (the RHS layout of every multi-RHS solve; a row-major n x nrhs
+/// matrix is the one-tile layout).
 ///
 /// An untiled walk sweeps the n x nrhs row-major matrix: every
 /// row kernel touches nrhs doubles of X per referenced column, so at wide
@@ -31,7 +31,7 @@
 /// and tiling never splits or reorders a column's arithmetic — column c of
 /// a tiled solve is bit-for-bit the single-RHS solve of column c
 /// (tests/test_tiled.cpp and tests/test_solver.cpp pin this for every
-/// executor, storage, team, and nrhs).
+/// executor, team, and nrhs).
 
 namespace sts::exec {
 
@@ -211,10 +211,9 @@ inline void requireTileShapes(index_t rows, const TileLayout& layout,
   }
 }
 
-/// Bytes one full sweep of a shared-CSR walk streams from the matrix
-/// arrays (row_ptr deltas + col_idx + values per stored entry); the CSR
-/// side of the plans' bytesMoved() accounting. Tiled walks re-stream this
-/// once per tile.
+/// Bytes one full sweep of a walk streams from the matrix arrays (row_ptr
+/// deltas + col_idx + values per stored entry); the matrix side of the
+/// tools/roofline.py byte model. Tiled walks re-stream this once per tile.
 inline std::size_t csrBytesMoved(index_t rows, offset_t nnz) {
   return (static_cast<std::size_t>(rows) + 1) * sizeof(offset_t) +
          static_cast<std::size_t>(nnz) * (sizeof(index_t) + sizeof(double));

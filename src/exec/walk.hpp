@@ -11,7 +11,6 @@
 #include "exec/elastic.hpp"
 #include "exec/peer_waits.hpp"
 #include "exec/row_kernels.hpp"
-#include "exec/slab.hpp"
 #include "exec/solve_context.hpp"
 #include "exec/spin_wait.hpp"
 #include "exec/tile.hpp"
@@ -28,14 +27,14 @@
 /// (P2pExecutor, SpMP-style). No team barrier is crossed inside either.
 ///
 /// A walk is instantiated with
-///   * a PLAN — the per-thread rows of one (team, fold policy): a row list
-///     (FoldedLists), contiguous row runs (FoldedRanges) or packed slab
-///     records (SlabPlan). threadRows(plan, t) is thread t's cursor;
+///   * a PLAN — the per-thread rows of one (team, fold policy) of the
+///     analyzed CSR: a row list (FoldedLists) or contiguous row runs
+///     (FoldedRanges). threadRows(plan, t) is thread t's cursor;
 ///     forEach(s, fn) visits its superstep-s rows in execution order;
 ///   * a ROW KERNEL — RhsKernel (one right-hand side) or TileKernel (one
-///     RHS column tile), called as kernel(row, tile) with a row index or a
-///     slab record. Both kernels run the shared row_kernels.hpp arithmetic,
-///     so the plan and the RHS shape never change a result bit.
+///     RHS column tile), called as kernel(row, tile). Both kernels run the
+///     shared row_kernels.hpp arithmetic, so the plan and the RHS shape
+///     never change a result bit.
 ///
 /// Every check the solve regions make lives here and nowhere else: the
 /// team size is pinned (omp_set_dynamic(0)), each member takes its
@@ -59,7 +58,6 @@ class ListRows {
       fn(verts_[static_cast<std::size_t>(k)]);
     }
   }
-  void endStep() const {}
 
  private:
   const index_t* verts_;
@@ -81,7 +79,6 @@ class RangeRows {
       for (index_t i = lo; i < hi; ++i) fn(i);
     }
   }
-  void endStep() const {}
 
  private:
   const std::pair<index_t, index_t>* runs_;
@@ -94,15 +91,9 @@ inline ListRows threadRows(const FoldedLists& plan, int t) {
 inline RangeRows threadRows(const FoldedRanges& plan, int t) {
   return {plan, t};
 }
-inline SlabStream threadRows(const SlabPlan& plan, int t) {
-  return SlabStream(plan.threads[static_cast<std::size_t>(t)]);
-}
 
-inline index_t rowIndex(index_t i) { return i; }
-inline index_t rowIndex(const SlabRecordView& rec) { return rec.row; }
-
-/// x = L^{-1} b, one row at a time: computeRow on the shared CSR,
-/// computeRowPacked on a slab record. The tile index is always 0.
+/// x = L^{-1} b, one row at a time (computeRow). The tile index is
+/// always 0.
 class RhsKernel {
  public:
   RhsKernel(const sparse::CsrMatrix& lower, std::span<const double> b,
@@ -113,9 +104,6 @@ class RhsKernel {
   void operator()(index_t i, std::size_t /*tile*/) const {
     computeRow(row_ptr_, col_idx_, values_, b_, x_, i);
   }
-  void operator()(const SlabRecordView& rec, std::size_t /*tile*/) const {
-    computeRowPacked(rec.cols, rec.vals, rec.nnz, rec.diag, b_, x_, rec.row);
-  }
 
  private:
   std::span<const offset_t> row_ptr_;
@@ -125,8 +113,7 @@ class RhsKernel {
   std::span<double> x_;
 };
 
-/// One RHS column tile of a tiled solve: computeRowMultiTiled on the
-/// shared CSR, computeRowMultiPacked on a slab record.
+/// One RHS column tile of a tiled solve (computeRowMultiTiled).
 class TileKernel {
  public:
   TileKernel(const sparse::CsrMatrix& lower, const TileViews& tiles)
@@ -136,11 +123,6 @@ class TileKernel {
   void operator()(index_t i, std::size_t tile) const {
     computeRowMultiTiled(row_ptr_, col_idx_, values_, tiles_->b[tile],
                          tiles_->x[tile], i, tiles_->width[tile]);
-  }
-  void operator()(const SlabRecordView& rec, std::size_t tile) const {
-    computeRowMultiPacked(rec.cols, rec.vals, rec.nnz, rec.diag,
-                          tiles_->b[tile], tiles_->x[tile], rec.row,
-                          tiles_->width[tile]);
   }
 
  private:
@@ -201,7 +183,7 @@ struct TeamWalk {
       ctx.notePin(pin);
       obs::StepTracer tracer(ctx.trace());
       const Kernel row_kernel = kernel;
-      auto rows = threadRows(plan, t);
+      const auto rows = threadRows(plan, t);
       const PeerWait* const wait =
           waits.waits[static_cast<std::size_t>(t)].data();
       const offset_t* const wait_ptr =
@@ -223,9 +205,8 @@ struct TeamWalk {
           tracer.waitDone(static_cast<std::uint64_t>(s));
         }
         for (std::size_t tile = 0; tile < tiles; ++tile) {
-          rows.forEach(s, [&](const auto& row) { row_kernel(row, tile); });
+          rows.forEach(s, [&](index_t i) { row_kernel(i, tile); });
         }
-        rows.endStep();
         // Superstep latency-spike failpoint (delay actions only: a throw
         // escaping this omp region would terminate). A rank-filtered
         // delay here models a straggler thread: it stretches only the
@@ -254,12 +235,11 @@ struct TeamWalk {
   /// first waits for its `waits` parents' completion flags, then runs the
   /// kernel on RHS tile `tile` and stamps its own flag. Superstep
   /// boundaries only order each thread's rows; no thread waits for
-  /// another's superstep. `order` is the row-list form of `plan` (for the
-  /// TSan join edge, acquireTeamWrites).
-  template <typename Plan, typename Kernel>
+  /// another's superstep.
+  template <typename Kernel>
   static void p2p(SolveContext& ctx, int team, index_t steps,
-                  const Plan& plan, const FoldedLists& order,
-                  WaitLists waits, std::size_t tile, const Kernel& kernel) {
+                  const FoldedLists& plan, WaitLists waits, std::size_t tile,
+                  const Kernel& kernel) {
     const std::uint32_t epoch = ctx.beginP2pEpoch();
     std::atomic<std::uint32_t>* const done = ctx.done_.get();
     const std::span<const int> pin_set = ctx.pinnedCores();
@@ -273,10 +253,10 @@ struct TeamWalk {
       ctx.notePin(pin);
       obs::StepTracer tracer(ctx.trace());
       const Kernel row_kernel = kernel;
-      auto rows = threadRows(plan, t);
+      const ListRows rows(plan, t);
       for (index_t s = 0; s < steps; ++s) {
-        rows.forEach(s, [&](const auto& row) {
-          const auto i = static_cast<std::size_t>(rowIndex(row));
+        rows.forEach(s, [&](index_t row) {
+          const auto i = static_cast<std::size_t>(row);
           // Under a folded team some parents live on this very thread,
           // earlier in its list — their flags are already set.
           for (offset_t k = waits.ptr[i]; k < waits.ptr[i + 1]; ++k) {
@@ -296,11 +276,10 @@ struct TeamWalk {
           row_kernel(row, tile);
           done[i].store(epoch, std::memory_order_release);
         });
-        rows.endStep();
       }
       tracer.finishP2p(static_cast<std::uint64_t>(steps));
     }
-    acquireTeamWrites(order, done, epoch);
+    acquireTeamWrites(plan, done, epoch);
   }
 };
 

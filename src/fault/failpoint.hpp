@@ -15,7 +15,7 @@
 /// executor paths — the harness that PROVES the overload-resilience
 /// contracts (docs/ROBUSTNESS.md) instead of asserting them: latency
 /// spikes in worker loops, stalled supersteps, allocation failure in
-/// slab/tile builds, queue stalls.
+/// tile builds, queue stalls.
 ///
 /// ## Compile-away contract (same pattern as STS_TRACING / STS_CHECKS)
 ///
@@ -59,7 +59,7 @@
 /// e.g. STS_FAULT_SPEC="exec.superstep=delay(200),p=0.05;engine.worker_pop=stall(50),rank=1,limit=3"
 ///
 /// Throwing actions (`fail`, `badalloc`) are only safe at serial call
-/// sites (engine worker loop, plan/slab builds) — an exception escaping an
+/// sites (engine worker loop, tile builds) — an exception escaping an
 /// OpenMP region terminates — so the executor-region hooks should only be
 /// given `delay`/`stall` specs. The point catalog lives in
 /// docs/ROBUSTNESS.md.

@@ -41,7 +41,7 @@ struct ServingMeasurement {
   std::uint64_t migrated_threads = 0;  ///< engine stat: migrations corrected
   /// Barrier/flag wait share of the batched pass's executor-thread time,
   /// from SolverEngine::traceSummary() (batch-weighted mean over the
-  /// per-(team,storage) attribution rows). 0 when EngineOptions::trace is
+  /// per-team attribution rows). 0 when EngineOptions::trace is
   /// off or the build compiled tracing out — attribution is the always-on
   /// accumulator path, so in practice 0 only under -DSTS_TRACING=OFF.
   double batched_wait_fraction = 0.0;

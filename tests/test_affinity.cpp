@@ -8,6 +8,7 @@
 #include <memory>
 #include <random>
 #include <set>
+#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -198,6 +199,28 @@ TEST(Affinity, ScopedPinPinsAndRestores) {
   // Empty set: inactive by contract.
   const exec::ScopedPin idle(std::vector<int>{}, 0);
   EXPECT_FALSE(idle.pinned());
+}
+
+/// systemCoreSet() reads the process's mask (its main thread's), not the
+/// calling thread's: asked from a thread pinned to one CPU it still
+/// returns the set the main thread reads.
+TEST(Affinity, SystemCoreSetIsTheProcessMaskOnAPinnedThread) {
+  if (!exec::affinitySupported()) GTEST_SKIP() << "no affinity support";
+  const auto main_set = exec::systemCoreSet();
+  if (main_set.size() < 2) GTEST_SKIP() << "needs at least 2 CPUs";
+  bool pinned = false;
+  std::vector<int> thread_mask;
+  std::vector<int> from_pinned;
+  std::thread worker([&] {
+    const exec::ScopedPin pin(std::span<const int>(main_set.data(), 1), 0);
+    pinned = pin.pinned();
+    thread_mask = exec::threadAffinity();
+    from_pinned = exec::systemCoreSet();
+  });
+  worker.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(thread_mask, std::vector<int>{main_set.front()});
+  EXPECT_EQ(from_pinned, main_set);
 }
 
 // -------------------------------------------------- pinned solve bitwise --

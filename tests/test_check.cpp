@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -11,14 +10,12 @@
 #include "datagen/random_matrices.hpp"
 #include "exec/elastic.hpp"
 #include "exec/peer_waits.hpp"
-#include "exec/slab.hpp"
 #include "exec/solver.hpp"
 
 /// \file test_check.cpp
 /// The invariant validators (src/check/) from both sides of the contract:
 /// every shipped construction path — all schedulers, both fold policies,
-/// both storage artifacts (folded work lists for shared-CSR, slab plans
-/// for slab storage) and the superstep walk's peer waits — validates
+/// the folded work lists and the superstep walk's peer waits — validates
 /// clean, and hand-crafted violations of each invariant are rejected with
 /// a diagnostic naming the offender. The rejection tests are the
 /// interesting half: a validator that accepts everything also "passes" the
@@ -71,10 +68,10 @@ FoldedLists fullLists(const Schedule& sched) {
 TEST(CheckEnforce, ThrowsLogicErrorNamingTheCaller) {
   EXPECT_NO_THROW(check::enforce(check::CheckResult{}, "here"));
   try {
-    check::enforce(check::CheckResult::failure("row 7 twice"), "slab");
+    check::enforce(check::CheckResult::failure("row 7 twice"), "fold");
     FAIL() << "enforce accepted a failed CheckResult";
   } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("slab"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("fold"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("row 7 twice"), std::string::npos);
   }
 }
@@ -207,48 +204,6 @@ TEST(CheckFoldedLists, RejectsBadStepBoundaries) {
   }
 }
 
-// --------------------------------------------------------- slab-plan audit
-
-TEST(CheckSlabPlan, AcceptsAFreshBuildThenRejectsCorruption) {
-  const auto lower = datagen::erdosRenyiLower({.n = 120, .p = 4e-2,
-                                               .seed = 5});
-  const FoldedLists lists = evenOddLists(lower.rows());
-  auto plan = exec::detail::buildSlabPlan(lower, lists);
-  {
-    const auto result = check::validateSlabPlan(lower, lists, plan);
-    ASSERT_TRUE(result.ok) << result.message;
-  }
-
-  {
-    // Corrupt the first record's header in place: the slab now claims to
-    // solve a different row than the execution order's.
-    auto corrupted = exec::detail::buildSlabPlan(lower, lists);
-    exec::detail::SlabRecordHeader header;
-    std::memcpy(&header, corrupted.threads[0].bytes.data(), sizeof(header));
-    header.row += 1;
-    std::memcpy(corrupted.threads[0].bytes.data(), &header, sizeof(header));
-    const auto result = check::validateSlabPlan(lower, lists, corrupted);
-    EXPECT_FALSE(result.ok);
-    EXPECT_NE(result.message.find("record 0"), std::string::npos)
-        << result.message;
-  }
-
-  {
-    // Superstep boundaries diverging from the work list's.
-    auto diverged = exec::detail::buildSlabPlan(lower, lists);
-    diverged.threads[1].step_ptr[1] += 1;
-    EXPECT_FALSE(check::validateSlabPlan(lower, lists, diverged).ok);
-  }
-
-  {
-    // A duplicated slab row: the execution order and the packed records
-    // disagree from the duplicate onward.
-    FoldedLists duplicated = lists;
-    duplicated.verts[0][1] = duplicated.verts[0][0];
-    EXPECT_FALSE(check::validateSlabPlan(lower, duplicated, plan).ok);
-  }
-}
-
 // ------------------------------------------------------- peer-wait audit
 
 TEST(CheckPeerWaits, AcceptsAFreshBuildThenRejectsCorruption) {
@@ -330,11 +285,10 @@ TEST(CheckCoreGrants, RejectsOverlapForeignAndDuplicateCores) {
 /// Every shipped scheduler × both fold policies × every team size, audited
 /// at every pipeline stage: the analyzed schedule (Def. 2.1), the folded
 /// schedule, the fold rank map (bijectivity), the folded work lists (the
-/// shared-CSR execution artifact), the slab plan (the slab-storage
-/// artifact), and the superstep walk's peer waits. This is the positive
+/// execution artifact), and the superstep walk's peer waits. This is the positive
 /// half of the contract; STS_CHECKS=ON builds run the same validators
 /// inside the construction paths.
-TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndStorageArtifacts) {
+TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndPlanArtifacts) {
   const std::vector<sparse::CsrMatrix> matrices = {
       datagen::grid2dLaplacian5(8, 8).lowerTriangle(),
       datagen::erdosRenyiLower({.n = 160, .p = 3e-2, .seed = 11}),
@@ -383,10 +337,6 @@ TEST(CheckCleanSweep, AllSchedulersFoldPoliciesAndStorageArtifacts) {
               rank_map);
           result = check::validateFoldedLists(
               folded_lists, sched.numSupersteps(), lower.rows());
-          ASSERT_TRUE(result.ok) << where << ": " << result.message;
-
-          const auto plan = exec::detail::buildSlabPlan(lower, folded_lists);
-          result = check::validateSlabPlan(lower, folded_lists, plan);
           ASSERT_TRUE(result.ok) << where << ": " << result.message;
 
           const auto waits =

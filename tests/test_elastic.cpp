@@ -273,6 +273,58 @@ TEST(ElasticSolve, ConcurrentMixedTeamSolves) {
   }
 }
 
+/// Concurrent solves with distinct contexts on one solver per fold policy.
+/// Workers w and w + 4 share a solver and a team on every rep, so the
+/// first touch of each team races two builders of the same per-team plan
+/// slot (folded rows and peer waits); the team rotates per rep, so each
+/// solver also runs mixed teams. Runs under TSan in CI.
+TEST(ElasticSolve, ConcurrentFirstBuildsRaceEveryPolicy) {
+  const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 6e-3,
+                                               .seed = 41});
+  const auto n = static_cast<size_t>(lower.rows());
+  constexpr index_t kNrhs = 2;
+  const auto b = lower.multiply(exec::referenceSolution(lower.rows(), 45));
+  std::vector<double> b_multi(n * kNrhs);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < kNrhs; ++c) {
+      b_multi[i * kNrhs + c] = b[i] + static_cast<double>(c);
+    }
+  }
+  SolverOptions opts;
+  opts.num_threads = 4;
+  opts.reorder = false;
+  std::vector<TriangularSolver> solvers;
+  for (const auto policy :
+       {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+    opts.fold_policy = policy;
+    solvers.push_back(TriangularSolver::analyze(lower, opts));
+  }
+
+  std::vector<double> expected(b_multi.size());
+  solvers.front().solveMultiRhs(b_multi, expected, kNrhs,
+                                *solvers.front().createContext(),
+                                solvers.front().numThreads());
+
+  constexpr int kWorkers = 8;
+  std::vector<std::future<std::vector<double>>> results;
+  for (int w = 0; w < kWorkers; ++w) {
+    results.push_back(std::async(std::launch::async, [&, w] {
+      const TriangularSolver& solver =
+          solvers[static_cast<size_t>(w) % solvers.size()];
+      auto ctx = solver.createContext();
+      std::vector<double> x(b_multi.size());
+      for (int rep = 0; rep < 3; ++rep) {
+        const int team = 1 + (w + rep) % solver.numThreads();
+        solver.solveMultiRhs(b_multi, x, kNrhs, *ctx, team);
+      }
+      return x;
+    }));
+  }
+  for (auto& f : results) {
+    EXPECT_EQ(f.get(), expected);
+  }
+}
+
 /// The lossless clamp: analyzing for far more threads than the host has
 /// keeps the schedule at the requested width but caps the default team at
 /// the usable CPUs (never above hardware_concurrency()), so default solves

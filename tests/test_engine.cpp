@@ -333,5 +333,62 @@ TEST(SolverEngine, DrainWaitsForBacklog) {
   }
 }
 
+/// A deterministic n x nrhs right-hand side; `salt` varies it per request.
+std::vector<double> makeRhs(size_t n, index_t nrhs, unsigned salt = 0) {
+  std::vector<double> b(n * static_cast<size_t>(nrhs));
+  for (size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + 0.125 * static_cast<double>((i * 7 + salt) % 23) -
+           0.5 * static_cast<double>((i + salt) % 3);
+  }
+  return b;
+}
+
+TEST(SolverEngine, SloColdStartSeedsFromCostModel) {
+  const auto lower = datagen::grid2dLaplacian5(12, 12).lowerTriangle();
+  const auto n = static_cast<size_t>(lower.rows());
+  SolverOptions solver_opts;
+  solver_opts.num_threads = 4;
+  auto solver = std::make_shared<const TriangularSolver>(
+      TriangularSolver::analyze(lower, solver_opts));
+  const int base = 4;
+
+  // Generous target: the cost model must conclude the minimum team still
+  // meets it and seed the controller below the base width. team_size pins
+  // the base at the analyzed width so the test is host-independent (the
+  // default team clamps to the machine's cores).
+  engine::EngineOptions opts;
+  opts.num_workers = 1;
+  opts.team_size = base;
+  opts.elastic = true;
+  opts.target_p95 = 30.0;  // far above any solve on this matrix
+  opts.start_paused = true;
+  engine::SolverEngine engine(opts);
+  const auto id = engine.registerSolver(solver);
+  const auto seeded = engine.stats(id).seeded_team;
+  EXPECT_GE(seeded, 1);
+  EXPECT_LT(seeded, base);
+
+  // The first window must be served at the seeded width, not the base.
+  std::vector<std::future<std::vector<double>>> futures;
+  for (unsigned j = 0; j < 4; ++j) {
+    futures.push_back(engine.submit(id, makeRhs(n, 1, j)));
+  }
+  engine.resume();
+  for (auto& f : futures) f.get();
+  // Futures resolve before the worker posts its stats; drain() returns
+  // only after the batch fully retires, so the snapshot below is stable.
+  engine.drain();
+  const auto stats = engine.stats(id);
+  EXPECT_GT(stats.batches, 0u);
+  EXPECT_LE(stats.mean_team_size, static_cast<double>(seeded) + 1e-9);
+
+  // Unreachable target: the model must keep the base width (no seed).
+  engine::EngineOptions tight = opts;
+  tight.target_p95 = 1e-12;
+  engine::SolverEngine tight_engine(tight);
+  const auto tight_id = tight_engine.registerSolver(solver);
+  EXPECT_EQ(tight_engine.stats(tight_id).seeded_team, 0);
+}
+
 }  // namespace
 }  // namespace sts::engine

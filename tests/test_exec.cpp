@@ -20,6 +20,7 @@
 #include "exec/bsp.hpp"
 #include "exec/p2p.hpp"
 #include "exec/serial.hpp"
+#include "exec/solver.hpp"
 #include "exec/verify.hpp"
 #include "datagen/grids.hpp"
 #include "datagen/random_matrices.hpp"
@@ -127,8 +128,7 @@ baselines::HdaggOptions hdaggOptions(int cores) {
 /// The row kernel reads x in place, so a missing superstep wait reads the
 /// previous solve's value of a parent — the other right-hand side's — and
 /// fails; with one right-hand side the stale value would already be right.
-/// `make(policy, storage)` builds one executor per analyzed (fold policy,
-/// storage).
+/// `make(policy)` builds one executor per fold policy.
 template <typename MakeExec>
 void expectAlternatingSolvesExact(const MakeExec& make, const CsrMatrix& lower,
                                   const std::string& where) {
@@ -141,17 +141,14 @@ void expectAlternatingSolvesExact(const MakeExec& make, const CsrMatrix& lower,
   std::vector<double> x(b[0].size(), 0.0);
   for (const auto policy :
        {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
-    for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
-      const BspExecutor exec = make(policy, storage);
-      auto ctx = exec.createContext();
-      for (const int team : {2, 3, 4}) {
-        for (int rep = 0; rep < 6; ++rep) {
-          exec.solve(b[rep % 2], x, *ctx, team);
-          ASSERT_EQ(x, expected[rep % 2])
-              << where << " team " << team << " policy "
-              << static_cast<int>(policy) << " storage "
-              << static_cast<int>(storage) << " solve " << rep;
-        }
+    const BspExecutor exec = make(policy);
+    auto ctx = exec.createContext();
+    for (const int team : {2, 3, 4}) {
+      for (int rep = 0; rep < 6; ++rep) {
+        exec.solve(b[rep % 2], x, *ctx, team);
+        ASSERT_EQ(x, expected[rep % 2])
+            << where << " team " << team << " policy "
+            << static_cast<int>(policy) << " solve " << rep;
       }
     }
   }
@@ -172,17 +169,16 @@ TEST(BspExecutor, RepeatedSolvesAreStable) {
     };
     for (const auto& [kind, sched] : schedules) {
       expectAlternatingSolvesExact(
-          [&](core::FoldPolicy policy, StorageKind storage) {
-            return BspExecutor(lower, sched, policy, storage);
+          [&](core::FoldPolicy policy) {
+            return BspExecutor(lower, sched, policy);
           },
           lower, name + " " + kind);
     }
     const core::ReorderedProblem problem = core::reorderForLocality(lower, gl);
     expectAlternatingSolvesExact(
-        [&](core::FoldPolicy policy, StorageKind storage) {
+        [&](core::FoldPolicy policy) {
           return BspExecutor(problem.matrix, problem.num_supersteps,
-                             problem.num_cores, problem.group_ptr, policy,
-                             storage);
+                             problem.num_cores, problem.group_ptr, policy);
         },
         problem.matrix, name + " GrowLocal contiguous");
   }
@@ -481,6 +477,45 @@ TEST(P2pExecutor, MultiRhsMatchesSerial) {
     for (size_t i = 0; i < n; ++i) {
       EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
                 expected[static_cast<size_t>(c)][i]);
+    }
+  }
+}
+
+/// The reversal-normalized (upper-triangular) path of a solver analyzed
+/// with default options (only the width set): the context-free solve()
+/// matches backward substitution, and each column of a default-team
+/// solveMultiRhs batch is bitwise that column's solve().
+TEST(UpperTriangularSolve, DefaultOptionsSolveAndMultiRhsAgree) {
+  const CsrMatrix upper =
+      datagen::grid2dLaplacian5(12, 12).lowerTriangle().transposed();
+  const auto n = static_cast<size_t>(upper.rows());
+  SolverOptions opts;
+  opts.num_threads = 3;
+  const auto solver = TriangularSolver::analyze(upper, opts);
+  ASSERT_TRUE(solver.isPermuted());
+
+  constexpr index_t kNrhs = 5;
+  std::vector<double> b_multi(n * kNrhs), x_multi(n * kNrhs, 0.0);
+  std::vector<std::vector<double>> expected;
+  for (index_t c = 0; c < kNrhs; ++c) {
+    const auto x_true = referenceSolution(upper.rows(), 98 + c);
+    const auto b = upper.multiply(x_true);
+    for (size_t i = 0; i < n; ++i) {
+      b_multi[i * kNrhs + static_cast<size_t>(c)] = b[i];
+    }
+    std::vector<double> x_serial(n, 0.0);
+    solveUpperSerial(upper, b, x_serial);
+    expected.emplace_back(n, 0.0);
+    solver.solve(b, expected.back());
+    EXPECT_LT(relMaxAbsDiff(expected.back(), x_serial), 1e-12) << "rhs " << c;
+    EXPECT_LT(relMaxAbsDiff(expected.back(), x_true), 1e-8) << "rhs " << c;
+  }
+  solver.solveMultiRhs(b_multi, x_multi, kNrhs, *solver.createContext());
+  for (index_t c = 0; c < kNrhs; ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
+                expected[static_cast<size_t>(c)][i])
+          << "rhs " << c << " row " << i;
     }
   }
 }

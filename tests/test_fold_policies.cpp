@@ -315,6 +315,30 @@ TEST(BinPackFold, FoldToSelfSharesPayload) {
   EXPECT_EQ(copy.cores().data(), s.cores().data());
 }
 
+TEST(FoldRankMap, FoldedMakespanAtMatchesManualComposition) {
+  const auto lower = datagen::erdosRenyiLower({.n = 200, .p = 1e-2,
+                                               .seed = 51});
+  const auto dag = dag::Dag::fromLowerTriangular(lower);
+  const auto schedule = core::growLocalSchedule(dag, {.num_cores = 4});
+  for (const auto policy :
+       {core::FoldPolicy::kModulo, core::FoldPolicy::kBinPack}) {
+    for (int t = 1; t <= schedule.numCores(); ++t) {
+      const auto loads = schedule.rankLoads();
+      const auto map = core::foldRankMap(schedule.numSupersteps(),
+                                         schedule.numCores(), t, policy,
+                                         loads);
+      const auto expected = core::foldedMakespan(
+          loads, schedule.numSupersteps(), schedule.numCores(), t, map);
+      EXPECT_EQ(core::foldedMakespanAt(schedule, t, policy), expected);
+    }
+  }
+  EXPECT_THROW(core::foldedMakespanAt(schedule, 0, core::FoldPolicy::kModulo),
+               std::invalid_argument);
+  EXPECT_THROW(core::foldedMakespanAt(schedule, schedule.numCores() + 1,
+                                      core::FoldPolicy::kModulo),
+               std::invalid_argument);
+}
+
 // ---------------------------------------------------------------- budget --
 
 TEST(CoreBudget, ValidatesAndTracksPeak) {

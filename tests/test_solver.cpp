@@ -190,7 +190,7 @@ TEST(TriangularSolver, SolveMultiRhsMatchesIndependentSolves) {
 }
 
 /// nrhs == 1 is solve() itself: the one-column solveMultiRhs runs the
-/// single-RHS walk, bitwise, for every executor kind, storage and team.
+/// single-RHS walk, bitwise, for every executor kind and team.
 TEST(TriangularSolver, SolveMultiRhsSingleColumnIsSolve) {
   const auto lower = datagen::erdosRenyiLower({.n = 500, .p = 6e-3, .seed = 64});
   const auto n = static_cast<size_t>(lower.rows());
@@ -203,22 +203,18 @@ TEST(TriangularSolver, SolveMultiRhsSingleColumnIsSolve) {
                  {SchedulerKind::kSpmp, false},       // P2pExecutor
                  {SchedulerKind::kSerial, false}};
   for (const auto& config : configs) {
-    for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
-      SolverOptions opts;
-      opts.scheduler = config.kind;
-      opts.num_threads = 2;
-      opts.reorder = config.reorder;
-      opts.storage = storage;
-      const auto solver = TriangularSolver::analyze(lower, opts);
-      auto ctx = solver.createContext();
-      for (const int team : {1, solver.numThreads()}) {
-        std::vector<double> x_solve(n), x_multi(n);
-        solver.solve(b, x_solve, *ctx, team);
-        solver.solveMultiRhs(b, x_multi, 1, *ctx, team);
-        EXPECT_EQ(x_multi, x_solve)
-            << schedulerKindName(config.kind) << " team " << team
-            << " storage " << storageKindName(storage);
-      }
+    SolverOptions opts;
+    opts.scheduler = config.kind;
+    opts.num_threads = 2;
+    opts.reorder = config.reorder;
+    const auto solver = TriangularSolver::analyze(lower, opts);
+    auto ctx = solver.createContext();
+    for (const int team : {1, solver.numThreads()}) {
+      std::vector<double> x_solve(n), x_multi(n);
+      solver.solve(b, x_solve, *ctx, team);
+      solver.solveMultiRhs(b, x_multi, 1, *ctx, team);
+      EXPECT_EQ(x_multi, x_solve)
+          << schedulerKindName(config.kind) << " team " << team;
     }
   }
 }

@@ -10,7 +10,6 @@
 #include "datagen/grids.hpp"
 #include "datagen/random_matrices.hpp"
 #include "engine/solver_engine.hpp"
-#include "exec/slab.hpp"
 #include "exec/solver.hpp"
 #include "exec/tile.hpp"
 #include "test_util.hpp"
@@ -19,7 +18,7 @@
 /// The tiled multi-RHS contract (exec/tile.hpp): column tiles are
 /// independent n x w sub-problems in exactly the untiled kernels' layout,
 /// so the tiled walk is bitwise indistinguishable from the untiled walk
-/// for every executor kind, storage, team size, and RHS count — including
+/// for every executor kind, team size, and RHS count — including
 /// degenerate single-tile batches and explicit narrow tiles that force
 /// multi-tile execution. Plus the layout/pack/unpack arithmetic, sysfs
 /// cache-geometry detection fallbacks, the STS_TILE_COLS override,
@@ -32,7 +31,6 @@ namespace {
 
 using exec::SchedulerKind;
 using exec::SolverOptions;
-using exec::StorageKind;
 using exec::TileLayout;
 using exec::TriangularSolver;
 
@@ -163,11 +161,9 @@ TEST(TileGeometry, PickTileColsRespectsEnvOverride) {
   EXPECT_EQ(auto_cols % 8, 0);
 }
 
-/// The solver analyzed with `opts` under `storage` and `tile_cols`.
+/// The solver analyzed with `opts` under `tile_cols`.
 TriangularSolver analyzeWith(const sparse::CsrMatrix& lower,
-                             SolverOptions opts, StorageKind storage,
-                             index_t tile_cols) {
-  opts.storage = storage;
+                             SolverOptions opts, index_t tile_cols) {
   opts.tile_cols = tile_cols;
   return TriangularSolver::analyze(lower, opts);
 }
@@ -185,30 +181,24 @@ TEST(TiledSolve, BitwiseMatchesUntiledForEveryConfig) {
   for (const auto& lower : matrices) {
     const auto n = static_cast<size_t>(lower.rows());
     for (const auto& config : executorConfigs(width)) {
-      for (const auto storage :
-           {StorageKind::kSharedCsr, StorageKind::kSlab}) {
-        const auto untiled =
-            analyzeWith(lower, config.options, storage, kUntiled);
-        auto untiled_ctx = untiled.createContext();
-        // tile_cols = 3 forces multi-tile execution (with ragged tails at
-        // nrhs 8 and 17); 0 exercises the auto heuristic, whose floor of
-        // 16 degenerates every nrhs here but 17 to a single tile.
-        for (const index_t tile_cols : {3, 0}) {
-          const auto solver =
-              analyzeWith(lower, config.options, storage, tile_cols);
-          auto ctx = solver.createContext();
-          for (const int team : {1, width}) {
-            for (const index_t nrhs : {1, 3, 8, 17}) {
-              const auto b = makeRhs(n, nrhs);
-              std::vector<double> x_untiled(b.size());
-              std::vector<double> x_tiled(b.size());
-              untiled.solveMultiRhs(b, x_untiled, nrhs, *untiled_ctx, team);
-              solver.solveMultiRhs(b, x_tiled, nrhs, *ctx, team);
-              ASSERT_EQ(x_tiled, x_untiled)
-                  << config.name << " tile_cols " << tile_cols << " team "
-                  << team << " storage " << static_cast<int>(storage)
-                  << " nrhs " << nrhs;
-            }
+      const auto untiled = analyzeWith(lower, config.options, kUntiled);
+      auto untiled_ctx = untiled.createContext();
+      // tile_cols = 3 forces multi-tile execution (with ragged tails at
+      // nrhs 8 and 17); 0 exercises the auto heuristic, whose floor of 16
+      // degenerates every nrhs here but 17 to a single tile.
+      for (const index_t tile_cols : {3, 0}) {
+        const auto solver = analyzeWith(lower, config.options, tile_cols);
+        auto ctx = solver.createContext();
+        for (const int team : {1, width}) {
+          for (const index_t nrhs : {1, 3, 8, 17}) {
+            const auto b = makeRhs(n, nrhs);
+            std::vector<double> x_untiled(b.size());
+            std::vector<double> x_tiled(b.size());
+            untiled.solveMultiRhs(b, x_untiled, nrhs, *untiled_ctx, team);
+            solver.solveMultiRhs(b, x_tiled, nrhs, *ctx, team);
+            ASSERT_EQ(x_tiled, x_untiled)
+                << config.name << " tile_cols " << tile_cols << " team "
+                << team << " nrhs " << nrhs;
           }
         }
       }
@@ -263,52 +253,32 @@ TEST(TiledSolve, SolveTilesMatchesOnPrePackedBuffers) {
                std::invalid_argument);
 }
 
-/// The analyze-time contract seen through what the setting changes: the
-/// bytes a sweep streams are the CSR for a kSharedCsr solver and the slab
-/// records for a kSlab solver, and asking for a policy or storage the
-/// solver was not analyzed with throws (no such plan exists).
+/// The bytes a sweep streams are the analyzed CSR at every team, and
+/// asking for a policy the solver was not analyzed with throws (no such
+/// plan exists).
 TEST(TiledSolve, BytesMovedAccountingIsConsistent) {
   const auto lower = datagen::erdosRenyiLower({.n = 250, .p = 1e-2,
                                                .seed = 17});
   SolverOptions opts;
   opts.num_threads = 2;
   const auto shared = TriangularSolver::analyze(lower, opts);
-  EXPECT_EQ(shared.storageBytesMoved(2, core::FoldPolicy::kModulo,
-                                     StorageKind::kSharedCsr),
-            exec::csrBytesMoved(lower.rows(), lower.nnz()));
-
-  opts.storage = StorageKind::kSlab;
-  const auto slab = TriangularSolver::analyze(lower, opts);
-  // Every row is one record of exactly one thread's slab, at any team.
-  std::size_t records = 0;
-  for (index_t i = 0; i < lower.rows(); ++i) {
-    records += exec::detail::slabRecordBytes(lower.rowCols(i).size() - 1);
-  }
   for (const int team : {1, 2}) {
-    EXPECT_EQ(slab.storageBytesMoved(team, core::FoldPolicy::kModulo,
-                                     StorageKind::kSlab),
-              records)
+    EXPECT_EQ(shared.storageBytesMoved(team, core::FoldPolicy::kModulo,
+                                       exec::StorageKind::kSharedCsr),
+              exec::csrBytesMoved(lower.rows(), lower.nnz()))
         << "team " << team;
   }
-  EXPECT_NE(records, exec::csrBytesMoved(lower.rows(), lower.nnz()));
-
-  EXPECT_THROW(shared.storageBytesMoved(2, core::FoldPolicy::kModulo,
-                                        StorageKind::kSlab),
-               std::invalid_argument);
-  EXPECT_THROW(slab.storageBytesMoved(2, core::FoldPolicy::kModulo,
-                                      StorageKind::kSharedCsr),
-               std::invalid_argument);
   EXPECT_THROW(shared.storageBytesMoved(2, core::FoldPolicy::kBinPack,
-                                        StorageKind::kSharedCsr),
+                                        exec::StorageKind::kSharedCsr),
                std::invalid_argument);
 }
 
 TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
-  // Tiled and untiled solves race on four solvers (tiled or untiled x
-  // shared CSR or slab), each worker on its own context. Workers w and
-  // w + 4 share a solver and a team on every rep, so the first touch of
-  // each team races the builders of the same per-team plan slot; the team
-  // rotates per rep, so each solver also runs mixed teams. The lazy plan
+  // Tiled and untiled solves race on two solvers (tiled or untiled), each
+  // worker on its own context. Workers w and w + 4 share a solver and a
+  // team on every rep, so the first touch of each team races the builders
+  // of the same per-team plan slot; the team rotates per rep, so each
+  // solver also runs mixed teams. The lazy plan
   // caches and the tiled scratch buffers must not interfere — TSan covers
   // this in CI.
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 6e-3,
@@ -319,9 +289,7 @@ TEST(TiledSolveConcurrent, MixedLayoutSolvesAreSafe) {
   opts.reorder = false;
   std::vector<TriangularSolver> solvers;
   for (const index_t tile_cols : {index_t{3}, kUntiled}) {
-    for (const auto storage : {StorageKind::kSharedCsr, StorageKind::kSlab}) {
-      solvers.push_back(analyzeWith(lower, opts, storage, tile_cols));
-    }
+    solvers.push_back(analyzeWith(lower, opts, tile_cols));
   }
 
   const index_t nrhs = 7;
