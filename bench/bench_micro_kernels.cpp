@@ -16,7 +16,6 @@
 #include "datagen/grids.hpp"
 #include "datagen/random_matrices.hpp"
 #include "exec/bsp.hpp"
-#include "exec/p2p.hpp"
 #include "exec/row_kernels.hpp"
 #include "exec/serial.hpp"
 #include "exec/solver.hpp"
@@ -138,10 +137,13 @@ void BM_ContiguousSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ContiguousSolve);
 
-void BM_P2pSolve(benchmark::State& state) {
+/// SpMP's level schedule on the superstep walk, as TriangularSolver runs
+/// it: un-reordered row lists, peer waits per level.
+void BM_SpmpSolve(benchmark::State& state) {
   const auto& lower = benchMatrix();
-  const auto spmp = baselines::spmpSchedule(benchDag(), {.num_cores = 2});
-  const exec::P2pExecutor executor(lower, spmp.schedule, spmp.reduced_dag);
+  const auto spmp = baselines::spmpSchedule(
+      benchDag(), {.num_cores = 2, .transitive_reduction = false});
+  const exec::BspExecutor executor(lower, spmp.schedule);
   auto ctx = executor.createContext();
   const std::vector<double> b(static_cast<size_t>(lower.rows()), 1.0);
   std::vector<double> x(b.size(), 0.0);
@@ -151,7 +153,7 @@ void BM_P2pSolve(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * lower.nnz());
 }
-BENCHMARK(BM_P2pSolve);
+BENCHMARK(BM_SpmpSolve);
 
 /// Column-blocked multi-RHS row kernel (computeRowMultiPacked: fixed
 /// 8/4-wide register blocks + tail — the tiled walk's kernel) on the CSR,

@@ -129,7 +129,7 @@ int main() {
     opts.reorder = false;
     configs.push_back({"bsp", opts});
     opts.scheduler = SchedulerKind::kSpmp;
-    configs.push_back({"p2p", opts});
+    configs.push_back({"spmp", opts});
   }
 
   std::vector<int> teams = {1, width};

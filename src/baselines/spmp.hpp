@@ -6,12 +6,18 @@
 
 /// \file spmp.hpp
 /// Reimplementation of the SpMP scheduler [PSSD14]: level sets with a
-/// weight-balanced contiguous partition of each level across cores, plus an
-/// approximate transitive reduction that sparsifies the dependencies the
-/// asynchronous executor must wait on. SpMP executes *asynchronously*
-/// (point-to-point synchronization, exec/p2p.hpp): a core may run ahead
-/// into the next level as soon as its own dependencies are satisfied, which
-/// is why the reduced DAG is part of the result.
+/// weight-balanced contiguous partition of each level across cores. Each
+/// (level, core) chunk is one task. SpMP executes *asynchronously*: a task
+/// waits point-to-point only on the producer tasks it reads from, so a
+/// core may run ahead into the next level as soon as those are done. The
+/// superstep walk's peer waits (exec/peer_waits.hpp) are exactly these
+/// task waits, so TriangularSolver runs the level schedule on BspExecutor.
+///
+/// The optional approximate transitive reduction ("remove long edges in
+/// triangles") sparsifies the row DAG. No executor reads it: the peer
+/// waits already keep at most one wait per (peer thread, level) and drop
+/// every wait an earlier one implies. It stays for the benches that time
+/// analysis layers.
 ///
 /// Divergence note (DESIGN.md §4): the original SpMP library adds x86
 /// intrinsics and NUMA-aware data placement; those are out of scope here
@@ -32,12 +38,10 @@ struct SpmpOptions {
 };
 
 struct SpmpResult {
-  /// Level-set schedule (one superstep per wavefront). Used as-is by the
-  /// barrier executor; the P2P executor uses it only for the per-core
-  /// vertex order.
+  /// Level-set schedule (one superstep per wavefront).
   Schedule schedule;
-  /// DAG after transitive reduction: the P2P executor spin-waits only on
-  /// these edges.
+  /// DAG after transitive reduction (the input DAG when the reduction is
+  /// off).
   Dag reduced_dag;
   sts::offset_t removed_edges = 0;
 };

@@ -36,8 +36,9 @@ Schedule blockSchedule(const Dag& dag, int num_blocks, bool parallel,
 
   std::vector<Schedule> block_schedules(static_cast<size_t>(num_blocks));
   std::vector<Dag> block_dags(static_cast<size_t>(num_blocks));
-  // The loop's join edge in atomics, as exec::detail::acquireTeamWrites:
-  // libgomp's barrier is invisible to ThreadSanitizer, so without it the
+  // The loop's join edge in atomics, as after the superstep walk
+  // (exec::detail::TeamWalk::supersteps): libgomp's barrier is invisible to
+  // ThreadSanitizer, so without it the
   // caller's reads of the block results, and the frees of block_dags,
   // would appear to race with the workers' writes. Each iteration
   // release-increments `finished` after its writes; the acquire load below

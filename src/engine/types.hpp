@@ -200,7 +200,7 @@ struct EngineOptions {
   double overload_hysteresis = 0.5;
   /// Arm per-batch compute-vs-wait attribution (obs::SolveTrace on the
   /// leased context): `traceSummary()` then reports per-superstep compute
-  /// and barrier/p2p-wait time per granted team width. The cost
+  /// and peer-wait time per granted team width. The cost
   /// is one branch per superstep per executor thread plus two atomic adds
   /// per thread per batch — on by default. Off makes executors see a null
   /// sink. Orthogonal to the process-wide obs::TraceSession; disabling
@@ -298,8 +298,8 @@ struct SolverServingStats {
 
 /// One per-team attribution row of SolverEngine::traceSummary(): where
 /// that team width's batches spent their executor time, split
-/// into per-superstep compute and synchronization wait (superstep peer
-/// waits + P2P dependency spins) as measured by the per-thread
+/// into per-superstep compute and synchronization wait (the superstep
+/// walk's peer waits) as measured by the per-thread
 /// StepTracers. Wait fraction is the paper's Table 7.2 axis — barrier
 /// overhead share — observable on production solves.
 struct TraceSummaryRow {
@@ -307,13 +307,13 @@ struct TraceSummaryRow {
   std::uint64_t batches = 0;       ///< batches aggregated into this row
   std::uint64_t thread_steps = 0;  ///< (superstep, thread) pairs executed
   double compute_seconds = 0.0;    ///< summed per-thread compute time
-  double wait_seconds = 0.0;       ///< summed superstep/p2p wait time
+  double wait_seconds = 0.0;       ///< summed superstep peer-wait time
   /// Engine-side RHS staging cost of these batches (the pack into the
   /// batch layout and the unpack back into per-request vectors) — the copy
   /// overhead the tiled direct-pack path exists to shrink.
   double pack_seconds = 0.0;
   double unpack_seconds = 0.0;
-  /// Longest single superstep/p2p wait any thread saw (straggler signal).
+  /// Longest single superstep wait any thread saw (straggler signal).
   double max_wait_seconds = 0.0;
   /// wait / (compute + wait); 0 when nothing was measured.
   double wait_fraction = 0.0;

@@ -66,7 +66,7 @@ int currentCpu();
 
 /// Pins the calling thread to one CPU of a leased core set for the
 /// lifetime of the object, restoring the thread's previous affinity mask
-/// on destruction. Built for the executors' OpenMP regions: team member
+/// on destruction. Built for the superstep walk's OpenMP region: team member
 /// `rank` pins itself to `cores[rank % cores.size()]`, so a team no wider
 /// than its lease gets one stable core per member and a (deliberately)
 /// oversubscribed team wraps around. Inactive — all queries false — when

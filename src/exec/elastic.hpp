@@ -13,7 +13,7 @@
 #include "sparse/types.hpp"
 
 /// \file elastic.hpp
-/// Elastic-execution support shared by the executors: folding full-width
+/// Elastic-execution support of the executor: folding full-width
 /// per-thread work lists onto a smaller team (the executor-side image of
 /// core::Schedule::foldTo — folded thread q owns every original rank p with
 /// rank_map[p] == q, supersteps preserved) and a lazily built, immutable

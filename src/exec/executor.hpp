@@ -10,12 +10,12 @@
 #include "sparse/csr.hpp"
 
 /// \file executor.hpp
-/// The interface of the two executors: BspExecutor (the superstep walk,
-/// over row lists or the reordered problem's row ranges) and P2pExecutor
-/// (the SpMP-style flag walk). Everything that shapes a solve except its
-/// team is an analysis product: the schedule and the fold policy mapping
-/// ranks onto a smaller team are fixed at construction. A solve takes its
-/// data, a context and a team; every solve walks the analyzed CSR.
+/// The executor interface, implemented by BspExecutor (the superstep walk,
+/// over row lists or the reordered problem's row ranges). Everything that
+/// shapes a solve except its team is an analysis product: the schedule
+/// and the fold policy mapping ranks onto a smaller team are fixed at
+/// construction. A solve takes its data, a context and a team; every solve
+/// walks the analyzed CSR.
 ///
 /// Reentrancy contract (see solve_context.hpp): executors are immutable
 /// after construction; everything a solve mutates lives in its

@@ -50,28 +50,6 @@ void SolveContext::notePin(const ScopedPin& pin) {
   }
 }
 
-std::uint32_t SolveContext::beginP2pEpoch() {
-  const auto n = static_cast<std::size_t>(n_);
-  if (!done_) {
-    done_ = std::make_unique<std::atomic<std::uint32_t>[]>(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      done_[v].store(0, std::memory_order_relaxed);
-    }
-    epoch_ = 0;
-  }
-  if (++epoch_ == 0) {
-    // Wraparound: a flag stamped `e` in a long-gone solve would otherwise
-    // equal a reissued epoch `e` and release a waiter before the vertex is
-    // computed. Clear the flags and skip epoch 0 (the "never computed"
-    // value of a fresh array).
-    for (std::size_t v = 0; v < n; ++v) {
-      done_[v].store(0, std::memory_order_relaxed);
-    }
-    epoch_ = 1;
-  }
-  return epoch_;
-}
-
 std::span<double> SolveContext::bScratch(std::size_t size) {
   if (b_scratch_.size() < size) b_scratch_.resize(size);
   return std::span<double>(b_scratch_.data(), size);

@@ -15,9 +15,8 @@
 ///
 /// The analysis phase (schedule + executor + permuted matrix) is built once
 /// and never mutated by a solve. Everything a solve *does* mutate — the
-/// superstep walk's per-thread progress words, the P2P epoch-stamped
-/// completion flags, and the permutation scratch vectors — lives here. The
-/// contract is:
+/// superstep walk's per-thread progress words and the permutation scratch
+/// vectors — lives here. The contract is:
 ///
 ///   * One SolveContext supports ONE solve at a time.
 ///   * N contexts permit N simultaneous solves against the same executor /
@@ -31,9 +30,8 @@
 ///   * Contexts are reusable across sequential solves with no reset: each
 ///     superstep solve runs above a fresh 64-bit progress base (every word
 ///     of an earlier solve is below it, and the base never wraps in
-///     practice), and the P2P flags are epoch-stamped. Contexts are cheap
-///     to pool — `engine::SolverEngine` keeps a free list of them per
-///     registered solver.
+///     practice). Contexts are cheap to pool — `engine::SolverEngine`
+///     keeps a free list of them per registered solver.
 ///   * A context may carry a PINNED CORE SET (setPinnedCores): while one is
 ///     set, OpenMP team member t of a solve on this context pins itself to
 ///     `cores[t % cores.size()]` for the duration of the parallel region
@@ -47,8 +45,6 @@
 /// built-in context and therefore keeps the historical one-solve-at-a-time
 /// restriction; it exists so single-stream callers need no ceremony.
 /// Executors keep no context of their own.
-class SolveContextTestPeer;
-
 namespace sts::obs {
 struct SolveTrace;
 }  // namespace sts::obs
@@ -66,8 +62,7 @@ class SolveContext {
  public:
   /// Shape-compatible with executors built for up to `num_threads` cores
   /// over `num_vertices` rows. The progress words are ready immediately;
-  /// the P2P flag array and the permutation scratch are allocated on first
-  /// use.
+  /// the permutation scratch is allocated on first use.
   SolveContext(int num_threads, sts::index_t num_vertices);
 
   SolveContext(const SolveContext&) = delete;
@@ -75,9 +70,6 @@ class SolveContext {
 
   int numThreads() const { return num_threads_; }
   sts::index_t numVertices() const { return n_; }
-
-  /// Epoch of the most recent P2P solve (0 before any). Diagnostic.
-  std::uint32_t currentEpoch() const { return epoch_; }
 
   /// Arms pinning for subsequent solves on this context: team member t of
   /// each solve pins itself to `cores[t % cores.size()]` while the parallel
@@ -115,7 +107,6 @@ class SolveContext {
   friend class Executor;
   friend class TriangularSolver;
   friend struct detail::TeamWalk;
-  friend class ::SolveContextTestPeer;  ///< epoch-wraparound tests only
 
   /// Throws std::invalid_argument unless this context can host a solve of
   /// `num_threads` team members over `num_vertices` rows: the thread count
@@ -133,12 +124,6 @@ class SolveContext {
     step_base_ += static_cast<std::uint64_t>(steps) + 1;
     return base;
   }
-
-  /// Starts a P2P solve: allocates the flag array on first use and returns
-  /// the fresh epoch. On uint32 wraparound the flags are cleared and the
-  /// epoch restarts at 1, so a stale `done_[v]` can never alias a future
-  /// epoch and release a waiter early.
-  std::uint32_t beginP2pEpoch();
 
   /// Scratch sized to at least `size` doubles (grow-only).
   std::span<double> bScratch(std::size_t size);
@@ -165,10 +150,6 @@ class SolveContext {
   sts::obs::SolveTrace* trace_ = nullptr;
   std::atomic<std::uint64_t> pinned_threads_{0};
   std::atomic<std::uint64_t> migrated_threads_{0};
-
-  /// done_[v] == epoch_ means v is computed in the current P2P solve.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> done_;
-  std::uint32_t epoch_ = 0;
 
   std::vector<double> b_scratch_;
   std::vector<double> x_scratch_;

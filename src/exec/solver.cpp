@@ -12,7 +12,6 @@
 #include "core/coarsen.hpp"
 #include "exec/affinity.hpp"
 #include "exec/bsp.hpp"
-#include "exec/p2p.hpp"
 #include "exec/serial.hpp"
 #include "obs/trace.hpp"
 #include "sparse/permute.hpp"
@@ -68,7 +67,6 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   core::GrowLocalOptions gl = options.growlocal;
   gl.num_cores = options.num_threads;
 
-  std::optional<baselines::SpmpResult> spmp;
   switch (options.scheduler) {
     case SchedulerKind::kGrowLocal:
       if (options.num_schedule_blocks > 1) {
@@ -94,10 +92,13 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
       break;
     }
     case SchedulerKind::kSpmp: {
+      // SpMP's per-level tasks run on the superstep walk, whose peer waits
+      // already wait only on the producer tasks a task reads from; no
+      // executor reads a transitively reduced DAG.
       baselines::SpmpOptions so;
       so.num_cores = options.num_threads;
-      spmp = baselines::spmpSchedule(dag, so);
-      solver.schedule_ = spmp->schedule;
+      so.transitive_reduction = false;
+      solver.schedule_ = baselines::spmpSchedule(dag, so).schedule;
       break;
     }
     case SchedulerKind::kBspList:
@@ -139,9 +140,6 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
     solver.executor_ = std::make_unique<BspExecutor>(
         *solver.matrix_, problem.num_supersteps, problem.num_cores,
         std::move(problem.group_ptr), policy);
-  } else if (options.scheduler == SchedulerKind::kSpmp) {
-    solver.executor_ = std::make_unique<P2pExecutor>(
-        *solver.matrix_, solver.schedule_, spmp->reduced_dag, policy);
   } else {
     solver.executor_ = std::make_unique<BspExecutor>(
         *solver.matrix_, solver.schedule_, policy);

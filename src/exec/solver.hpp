@@ -85,7 +85,7 @@ enum class SchedulerKind {
   kFunnelGrowLocal,  ///< Funnel coarsening + GrowLocal (§4, §7.3)
   kWavefront,        ///< classic level sets [AS89]
   kHdagg,            ///< HDagg baseline [ZCL+22]
-  kSpmp,             ///< SpMP baseline [PSSD14]; executes asynchronously
+  kSpmp,             ///< SpMP baseline [PSSD14]; waits point-to-point
   kBspList,          ///< BSPg-style list scheduler [PAKY24]
   kSerial,           ///< no parallelism; reference configuration
 };
@@ -154,7 +154,7 @@ class TriangularSolver {
 
   /// X = T^{-1} B for nrhs right-hand sides, b and x row-major n x nrhs in
   /// the ORIGINAL row ordering. One schedule traversal serves all nrhs
-  /// solves, amortizing every superstep/flag wait (Table 7.7's
+  /// solves, amortizing every superstep peer wait (Table 7.7's
   /// block-parallel idea); column c of X is bitwise equal to solve() on
   /// column c of B. The solve runs on the cache-sized column tiles of
   /// tileLayout(nrhs), with the permutation and the tile packing fused
@@ -241,7 +241,7 @@ class TriangularSolver {
   /// Heap-allocated so executor references stay valid across solver moves.
   std::shared_ptr<const CsrMatrix> matrix_;
 
-  /// BspExecutor (row lists or, reordered, row ranges) or P2pExecutor.
+  /// BspExecutor over row lists or, reordered, row ranges.
   std::unique_ptr<const Executor> executor_;
 
   /// Backs the context-free solve(b, x).

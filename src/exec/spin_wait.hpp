@@ -4,7 +4,7 @@
 
 /// \file spin_wait.hpp
 /// The one wait policy of every solve-path wait: the superstep walk's peer
-/// progress waits and the P2P walk's dependency flags. Blocking primitives
+/// progress waits. Blocking primitives
 /// (`omp barrier`, futexes) cost multiple microseconds per wake on small
 /// machines, which dominates SpTRSV solves at the scale of this repository;
 /// a spinning waiter sees its producer's store one cache-line transfer

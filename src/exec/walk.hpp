@@ -19,14 +19,14 @@
 #include "sparse/csr.hpp"
 
 /// \file walk.hpp
-/// The two OpenMP team regions of the exact executors — the execution
-/// model of §2.2 written once. Each thread walks its rows superstep by
-/// superstep; the superstep walk waits, per boundary, only for the peers
-/// its next superstep reads from (BspExecutor, row lists or row ranges;
-/// peer_waits.hpp), the P2P walk waits per row on completion flags
-/// (P2pExecutor, SpMP-style). No team barrier is crossed inside either.
+/// The one OpenMP team region of the executor — the execution model of
+/// §2.2 written once. Each thread walks its rows superstep by superstep
+/// and waits, per boundary, only for the peers its next superstep reads
+/// from (peer_waits.hpp); no team barrier is crossed. BspExecutor runs it
+/// over row lists (every scheduler without the §5 reordering, SpMP's level
+/// tasks included) or over the reordered problem's row ranges.
 ///
-/// A walk is instantiated with
+/// The walk is instantiated with
 ///   * a PLAN — the per-thread rows of one (team, fold policy) of the
 ///     analyzed CSR: a row list (FoldedLists) or contiguous row runs
 ///     (FoldedRanges). threadRows(plan, t) is thread t's cursor;
@@ -36,11 +36,11 @@
 ///     shared row_kernels.hpp arithmetic, so the plan and the RHS shape
 ///     never change a result bit.
 ///
-/// Every check the solve regions make lives here and nowhere else: the
+/// Every check the solve region makes lives here and nowhere else: the
 /// team size is pinned (omp_set_dynamic(0)), each member takes its
 /// ScopedPin and reports it, an obs::StepTracer attributes compute against
-/// wait, and tools/check_conventions.py rejects a team region anywhere
-/// else in src/exec.
+/// wait, and tools/check_conventions.py rejects any other team region in
+/// src/exec.
 
 namespace sts::exec::detail {
 
@@ -132,33 +132,7 @@ class TileKernel {
   const TileViews* tiles_;
 };
 
-/// The cross-thread parents a P2P row waits on: row i waits for every
-/// adj[ptr[i] .. ptr[i + 1]).
-struct WaitLists {
-  std::span<const offset_t> ptr;
-  std::span<const index_t> adj;
-};
-
-/// Re-establishes the team-join happens-before edge through atomics after
-/// a P2P walk. The OpenMP implicit barrier already joined the team, but
-/// libgomp's futex-based barrier is invisible to ThreadSanitizer (it is
-/// not TSan-instrumented), so the caller's reads of x would appear to race
-/// with worker writes. Each thread's final completion-flag store is a
-/// release covering all of its x writes; acquiring those flags here — they
-/// are already set, so the loops do not spin — rebuilds the same edge in
-/// TSan's model. The superstep walk does the same on its progress words.
-inline void acquireTeamWrites(const FoldedLists& order,
-                              const std::atomic<std::uint32_t>* done,
-                              std::uint32_t epoch) {
-  for (const auto& verts : order.verts) {
-    if (verts.empty()) continue;
-    while (done[static_cast<std::size_t>(verts.back())].load(
-               std::memory_order_acquire) != epoch) {
-    }
-  }
-}
-
-/// The two walks. A struct so SolveContext can befriend both at once.
+/// The walk. A struct so SolveContext can befriend it.
 struct TeamWalk {
   /// Superstep walk on a `team`-thread team: before its superstep-s rows,
   /// thread t spins until each peer u its `waits` list for s names has
@@ -220,8 +194,13 @@ struct TeamWalk {
         }
       }
     }
-    // The join edge, as acquireTeamWrites: each member's last progress
-    // store is a release covering all of its x writes.
+    // Re-establishes the team-join happens-before edge through atomics.
+    // The OpenMP implicit barrier already joined the team, but libgomp's
+    // futex-based barrier is invisible to ThreadSanitizer, so the caller's
+    // reads of x would appear to race with member writes. Each member's
+    // last progress store is a release covering all of its x writes;
+    // acquiring it here — it is already set, so the loop does not spin —
+    // rebuilds the same edge in TSan's model.
     if (sync && steps > 0) {
       const std::uint64_t done = base + static_cast<std::uint64_t>(steps);
       for (int t = 0; t < team; ++t) {
@@ -229,57 +208,6 @@ struct TeamWalk {
         }
       }
     }
-  }
-
-  /// Flag-wait walk on a `team`-thread team under a fresh epoch: each row
-  /// first waits for its `waits` parents' completion flags, then runs the
-  /// kernel on RHS tile `tile` and stamps its own flag. Superstep
-  /// boundaries only order each thread's rows; no thread waits for
-  /// another's superstep.
-  template <typename Kernel>
-  static void p2p(SolveContext& ctx, int team, index_t steps,
-                  const FoldedLists& plan, WaitLists waits, std::size_t tile,
-                  const Kernel& kernel) {
-    const std::uint32_t epoch = ctx.beginP2pEpoch();
-    std::atomic<std::uint32_t>* const done = ctx.done_.get();
-    const std::span<const int> pin_set = ctx.pinnedCores();
-    // A dynamically shrunk team would strand the flag waits on rows of the
-    // missing threads.
-    omp_set_dynamic(0);
-#pragma omp parallel num_threads(team)
-    {
-      const int t = omp_get_thread_num();
-      const ScopedPin pin(pin_set, t);
-      ctx.notePin(pin);
-      obs::StepTracer tracer(ctx.trace());
-      const Kernel row_kernel = kernel;
-      const ListRows rows(plan, t);
-      for (index_t s = 0; s < steps; ++s) {
-        rows.forEach(s, [&](index_t row) {
-          const auto i = static_cast<std::size_t>(row);
-          // Under a folded team some parents live on this very thread,
-          // earlier in its list — their flags are already set.
-          for (offset_t k = waits.ptr[i]; k < waits.ptr[i + 1]; ++k) {
-            const std::atomic<std::uint32_t>& flag =
-                done[static_cast<std::size_t>(
-                    waits.adj[static_cast<std::size_t>(k)])];
-            // Only unresolved dependencies are timed: the first load
-            // doubles as the resolved-already fast path.
-            if (flag.load(std::memory_order_acquire) != epoch) {
-              tracer.spinBegin();
-              spinUntil([&] {
-                return flag.load(std::memory_order_acquire) == epoch;
-              });
-              tracer.spinEnd(static_cast<std::uint64_t>(i));
-            }
-          }
-          row_kernel(row, tile);
-          done[i].store(epoch, std::memory_order_release);
-        });
-      }
-      tracer.finishP2p(static_cast<std::uint64_t>(steps));
-    }
-    acquireTeamWrites(plan, done, epoch);
   }
 };
 

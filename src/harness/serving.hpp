@@ -39,7 +39,7 @@ struct ServingMeasurement {
   double pinned_speedup = 0.0;  ///< batched (unpinned) / pinned seconds
   std::uint64_t pinned_batches = 0;    ///< engine stat: batches pinned
   std::uint64_t migrated_threads = 0;  ///< engine stat: migrations corrected
-  /// Barrier/flag wait share of the batched pass's executor-thread time,
+  /// Peer-wait share of the batched pass's executor-thread time,
   /// from SolverEngine::traceSummary() (batch-weighted mean over the
   /// per-team attribution rows). 0 when EngineOptions::trace is
   /// off or the build compiled tracing out — attribution is the always-on

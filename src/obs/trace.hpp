@@ -34,8 +34,8 @@
 ///   * `SolveTrace` / `StepTracer` — the always-available (session or
 ///     not) per-solve compute-vs-wait attribution the engine aggregates
 ///     into `SolverEngine::traceSummary()`: each executor thread batches
-///     its per-superstep compute and superstep/p2p-wait nanoseconds locally
-///     and flushes them into the armed `SolveTrace` once per region.
+///     its per-superstep compute and peer-wait nanoseconds locally and
+///     flushes them into the armed `SolveTrace` once per region.
 ///
 /// ## Event taxonomy (docs/OBSERVABILITY.md has the full table)
 ///
@@ -45,8 +45,7 @@
 /// decisions. Plan construction (category "plan"): `analyze`,
 /// `fold_build`, `wait_build`, `seed_probe`. Hot loop
 /// (category "exec"): per-superstep `step_wait` and `compute` spans per
-/// OpenMP thread;
-/// `p2p_wait` spans for long cross-thread spins.
+/// OpenMP thread.
 ///
 /// ## Threading contract
 ///
@@ -302,7 +301,7 @@ struct SolveTrace {
   std::atomic<std::uint64_t> wait_ns{0};
   /// (superstep, thread) pairs accumulated — superstep boundaries walked.
   std::atomic<std::uint64_t> thread_steps{0};
-  /// Longest single superstep/p2p wait observed (straggler signal).
+  /// Longest single superstep wait observed (straggler signal).
   std::atomic<std::uint64_t> max_wait_ns{0};
 
   void add(std::uint64_t compute, std::uint64_t wait, std::uint64_t steps,
@@ -330,7 +329,7 @@ class StepTracer {
       : ring_(currentTraceRing()),
         sink_(sink),
         enabled_(ring_ != nullptr || sink_ != nullptr) {
-    if (enabled_) region_t0_ = t_ = nowNanos();
+    if (enabled_) t_ = nowNanos();
   }
 
   ~StepTracer() {
@@ -368,41 +367,11 @@ class StepTracer {
     t_ = now;
   }
 
-  /// P2P: a cross-thread dependency spin is about to start.
-  void spinBegin() {
-    if (enabled_) spin_t0_ = nowNanos();
-  }
-
-  /// P2P: the spin resolved. Emits a p2p_wait span only for spins the
-  /// trace can resolve (>= 1us) so dependency storms cannot flood the
-  /// ring; the accumulators see every nanosecond either way.
-  void spinEnd(std::uint64_t row) {
-    if (!enabled_) return;
-    const std::uint64_t now = nowNanos();
-    const std::uint64_t w = now - spin_t0_;
-    if (ring_ != nullptr && w >= 1000) {
-      ring_->emit({spin_t0_, w, "exec", "p2p_wait", "row", row, nullptr, 0,
-                   EventKind::kSpan});
-    }
-    wait_ns_ += w;
-    if (w > max_wait_ns_) max_wait_ns_ = w;
-  }
-
-  /// P2P: region over; everything that was not a spin wait is compute.
-  void finishP2p(std::uint64_t steps) {
-    if (!enabled_) return;
-    const std::uint64_t elapsed = nowNanos() - region_t0_;
-    compute_ns_ += elapsed > wait_ns_ ? elapsed - wait_ns_ : 0;
-    steps_ += steps;
-  }
-
  private:
   TraceRing* ring_ = nullptr;
   SolveTrace* sink_ = nullptr;
   bool enabled_ = false;
-  std::uint64_t region_t0_ = 0;
   std::uint64_t t_ = 0;
-  std::uint64_t spin_t0_ = 0;
   std::uint64_t compute_ns_ = 0;
   std::uint64_t wait_ns_ = 0;
   std::uint64_t steps_ = 0;
@@ -411,9 +380,6 @@ class StepTracer {
   explicit StepTracer(SolveTrace*) {}
   void computeDone(std::uint64_t) {}
   void waitDone(std::uint64_t) {}
-  void spinBegin() {}
-  void spinEnd(std::uint64_t) {}
-  void finishP2p(std::uint64_t) {}
 #endif
 };
 

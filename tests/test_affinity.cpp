@@ -230,9 +230,9 @@ struct KindConfig {
   bool reorder;  ///< true exercises BspExecutor's row ranges for GrowLocal
 };
 
-/// Pinning is placement only: for every executor kind (BSP, contiguous
-/// BSP, P2P — and serial) a solve on a pinned context is bitwise identical
-/// to the unpinned solve, at full width and folded.
+/// Pinning is placement only: for every scheduler and plan shape (row
+/// lists, the reordered row ranges, serial) a solve on a pinned context is
+/// bitwise identical to the unpinned solve, at full width and folded.
 TEST(Affinity, PinnedSolveBitwiseMatchesUnpinned) {
   const auto lower = datagen::bandedLower(240, 7, 0.5, 91);
   const auto x_true = exec::referenceSolution(lower.rows(), 92);
@@ -249,7 +249,7 @@ TEST(Affinity, PinnedSolveBitwiseMatchesUnpinned) {
       {SchedulerKind::kWavefront, false},
       {SchedulerKind::kHdagg, false},
       {SchedulerKind::kBspList, false},
-      {SchedulerKind::kSpmp, false},  // P2pExecutor
+      {SchedulerKind::kSpmp, false},  // BspExecutor, SpMP level lists
       {SchedulerKind::kSerial, false},
   };
   for (const auto& kc : kinds) {

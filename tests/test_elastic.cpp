@@ -153,8 +153,8 @@ TEST(ScheduleFold, RejectsBadTargets) {
 }
 
 /// The acceptance criterion: folded solves bitwise equal to full-width
-/// solves for every scheduler kind and every t <= numThreads(), across
-/// all three executor families (contiguous via reorder, plain BSP, P2P).
+/// solves for every scheduler kind and every t <= numThreads(), over both
+/// plan shapes (row ranges via reorder, row lists).
 TEST(ElasticSolve, FoldedBitwiseEqualsFullWidthEveryKindEveryTeam) {
   struct KindCase {
     SchedulerKind kind;
@@ -226,7 +226,7 @@ TEST(ElasticSolve, ConcurrentMixedTeamSolves) {
   const std::vector<SolverCase> cases = {
       {SchedulerKind::kGrowLocal, true},   // contiguous executor
       {SchedulerKind::kGrowLocal, false},  // plain BSP executor
-      {SchedulerKind::kSpmp, false},       // P2P executor
+      {SchedulerKind::kSpmp, false},       // SpMP level lists
   };
   const auto lower = datagen::bandedLower(250, 8, 0.5, 31);
   const auto x_true = exec::referenceSolution(lower.rows(), 32);

@@ -206,8 +206,8 @@ TEST(SolverEngine, MultipleSolversServeIndependently) {
   for (auto& f : fb) EXPECT_EQ(f.get(), eb);
 }
 
-TEST(SolverEngine, ConcurrentSubmittersAndP2pSolver) {
-  // The SpMP/P2P path exercises the epoch-stamped flags in pooled contexts.
+TEST(SolverEngine, ConcurrentSubmittersAndSpmpSolver) {
+  // The un-reordered SpMP level schedule runs on pooled contexts.
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 8e-3, .seed = 19});
   auto solver = analyzeShared(lower, /*reorder=*/false, SchedulerKind::kSpmp);
   const auto x_true = exec::referenceSolution(lower.rows(), 20);

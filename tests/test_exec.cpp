@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,7 +16,6 @@
 #include "dag/dag.hpp"
 #include "exec/affinity.hpp"
 #include "exec/bsp.hpp"
-#include "exec/p2p.hpp"
 #include "exec/serial.hpp"
 #include "exec/solver.hpp"
 #include "exec/verify.hpp"
@@ -26,16 +23,6 @@
 #include "datagen/random_matrices.hpp"
 #include "sparse/permute.hpp"
 #include "test_util.hpp"
-
-/// Test-only access to SolveContext's private epoch counter (befriended in
-/// solve_context.hpp) so the uint32 wraparound path is testable without
-/// 2^32 solves.
-class SolveContextTestPeer {
- public:
-  static void setEpoch(sts::exec::SolveContext& ctx, std::uint32_t epoch) {
-    ctx.epoch_ = epoch;
-  }
-};
 
 namespace sts::exec {
 namespace {
@@ -103,17 +90,30 @@ TEST(SerialSolve, SizeMismatchThrows) {
 
 /// Parallel executors must reproduce the serial result bit-for-bit: each
 /// row sums its CSR entries in the same order regardless of the schedule.
+/// SpMP's level tasks run on the same walk over un-reordered row lists.
+/// Repeated solves on one context each run above a fresh progress base.
 TEST(BspExecutor, BitIdenticalToSerialOnZoo) {
   for (const auto& [name, lower] : testutil::lowerTriangularZoo()) {
     const Dag d = Dag::fromLowerTriangular(lower);
-    const Schedule s = core::growLocalSchedule(d, {.num_cores = 2});
-    const BspExecutor exec(lower, s);
+    const std::pair<const char*, Schedule> schedules[] = {
+        {"GrowLocal", core::growLocalSchedule(d, {.num_cores = 2})},
+        {"SpMP", baselines::spmpSchedule(
+                     d, {.num_cores = 2, .transitive_reduction = false})
+                     .schedule},
+    };
     const auto x_true = referenceSolution(lower.rows(), 80);
     const auto b = rhsFor(lower, x_true);
     std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
     solveLowerSerial(lower, b, x_serial);
-    solveFullWidth(exec, b, x_par);
-    EXPECT_EQ(x_serial, x_par) << name;
+    for (const auto& [kind, sched] : schedules) {
+      const BspExecutor exec(lower, sched);
+      const auto ctx = exec.createContext();
+      for (int rep = 0; rep < 3; ++rep) {
+        std::fill(x_par.begin(), x_par.end(), -1.0);
+        exec.solve(b, x_par, *ctx, exec.numThreads());
+        EXPECT_EQ(x_serial, x_par) << name << " " << kind << " rep " << rep;
+      }
+    }
   }
 }
 
@@ -166,6 +166,7 @@ TEST(BspExecutor, RepeatedSolvesAreStable) {
         {"GrowLocal", gl},
         {"HDagg", baselines::hdaggSchedule(d, hdaggOptions(4))},
         {"BSPg", baselines::bspListSchedule(d, {.num_cores = 4})},
+        {"SpMP", baselines::spmpSchedule(d, {.num_cores = 4}).schedule},
     };
     for (const auto& [kind, sched] : schedules) {
       expectAlternatingSolvesExact(
@@ -184,76 +185,19 @@ TEST(BspExecutor, RepeatedSolvesAreStable) {
   }
 }
 
-TEST(P2pExecutor, MatchesSerialWithFullSyncDag) {
-  for (const auto& [name, lower] : testutil::lowerTriangularZoo()) {
-    const Dag d = Dag::fromLowerTriangular(lower);
-    const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
-    P2pExecutor exec(lower, spmp.schedule, d);  // full DAG: conservative sync
-    const auto x_true = referenceSolution(lower.rows(), 85);
-    const auto b = rhsFor(lower, x_true);
-    std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
-    solveLowerSerial(lower, b, x_serial);
-    solveFullWidth(exec, b, x_par);
-    EXPECT_EQ(x_serial, x_par) << name;
-  }
+SolverOptions spmpSolverOptions(int threads) {
+  SolverOptions opts;
+  opts.scheduler = SchedulerKind::kSpmp;
+  opts.num_threads = threads;
+  return opts;
 }
 
-TEST(P2pExecutor, MatchesSerialWithReducedSyncDag) {
-  for (const auto& [name, lower] : testutil::lowerTriangularZoo()) {
-    const Dag d = Dag::fromLowerTriangular(lower);
-    const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
-    P2pExecutor exec(lower, spmp.schedule, spmp.reduced_dag);
-    const auto x_true = referenceSolution(lower.rows(), 86);
-    const auto b = rhsFor(lower, x_true);
-    std::vector<double> x_serial(b.size(), 0.0), x_par(b.size(), 0.0);
-    solveLowerSerial(lower, b, x_serial);
-    // Repeated solves on one context exercise the epoch mechanism.
-    const auto ctx = exec.createContext();
-    for (int rep = 0; rep < 3; ++rep) {
-      std::fill(x_par.begin(), x_par.end(), 0.0);
-      exec.solve(b, x_par, *ctx, exec.numThreads());
-      EXPECT_EQ(x_serial, x_par) << name << " rep " << rep;
-    }
-  }
-}
-
-/// Epoch wraparound: when the per-context uint32 epoch overflows, the
-/// completion flags are cleared and the counter restarts at 1 — a stale
-/// flag can never alias a reissued epoch and release a waiter before its
-/// dependency is computed.
-TEST(P2pExecutor, EpochWraparoundResetsCompletionFlags) {
-  const auto lower = datagen::erdosRenyiLower({.n = 300, .p = 1e-2, .seed = 98});
-  const Dag d = Dag::fromLowerTriangular(lower);
-  const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
-  const P2pExecutor exec(lower, spmp.schedule, spmp.reduced_dag);
-  const auto ctx = exec.createContext();
-  const auto x_true = referenceSolution(lower.rows(), 99);
-  const auto b = rhsFor(lower, x_true);
-  std::vector<double> expected(b.size(), 0.0), x(b.size(), 0.0);
-  solveLowerSerial(lower, b, expected);
-
-  exec.solve(b, x, *ctx, exec.numThreads());
-  EXPECT_EQ(x, expected);
-  EXPECT_EQ(ctx->currentEpoch(), 1u);
-
-  // Jump to the last representable epoch: the next solve overflows, must
-  // clear the stale flags (all stamped 1) and restart at epoch 1 rather
-  // than hand out an epoch a stale flag could equal.
-  SolveContextTestPeer::setEpoch(
-      *ctx, std::numeric_limits<std::uint32_t>::max());
-  for (int rep = 1; rep <= 3; ++rep) {
-    std::fill(x.begin(), x.end(), -1.0);
-    exec.solve(b, x, *ctx, exec.numThreads());
-    EXPECT_EQ(x, expected) << "rep " << rep;
-    EXPECT_EQ(ctx->currentEpoch(), static_cast<std::uint32_t>(rep));
-  }
-}
-
-TEST(P2pExecutor, ConcurrentSolvesWithDistinctContexts) {
+/// Distinct contexts allow simultaneous solves on one SpMP solver; results
+/// stay bitwise the serial solve's regardless of interleaving.
+TEST(SpmpSolver, ConcurrentSolvesWithDistinctContexts) {
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 8e-3, .seed = 89});
-  const Dag d = Dag::fromLowerTriangular(lower);
-  const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
-  const P2pExecutor exec(lower, spmp.schedule, spmp.reduced_dag);
+  const auto solver = TriangularSolver::analyze(lower, spmpSolverOptions(2));
+  ASSERT_FALSE(solver.isPermuted());
   const auto x_true = referenceSolution(lower.rows(), 84);
   const auto b = rhsFor(lower, x_true);
   std::vector<double> expected(b.size(), 0.0);
@@ -264,11 +208,11 @@ TEST(P2pExecutor, ConcurrentSolvesWithDistinctContexts) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const auto ctx = exec.createContext();
+      const auto ctx = solver.createContext();
       std::vector<double> x(b.size(), 0.0);
       for (int rep = 0; rep < 3; ++rep) {
         std::fill(x.begin(), x.end(), -1.0);
-        exec.solve(b, x, *ctx, exec.numThreads());
+        solver.solve(b, x, *ctx, solver.numThreads());
         if (x != expected) failures[static_cast<size_t>(t)] += 1;
       }
     });
@@ -277,15 +221,6 @@ TEST(P2pExecutor, ConcurrentSolvesWithDistinctContexts) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[static_cast<size_t>(t)], 0) << "thread " << t;
   }
-}
-
-TEST(P2pExecutor, ReductionShrinksCrossDependencies) {
-  const auto lower = datagen::erdosRenyiLower({.n = 800, .p = 8e-3, .seed = 87});
-  const Dag d = Dag::fromLowerTriangular(lower);
-  const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
-  P2pExecutor full(lower, spmp.schedule, d);
-  P2pExecutor reduced(lower, spmp.schedule, spmp.reduced_dag);
-  EXPECT_LT(reduced.numCrossDependencies(), full.numCrossDependencies());
 }
 
 TEST(ContiguousExecutor, MatchesSerialWithinTolerance) {
@@ -339,34 +274,10 @@ TEST(BspExecutor, ConcurrentSolvesWithDistinctContexts) {
   }
 }
 
-/// A P2P team pinned onto one CPU: a waiter must yield to the producer it
-/// waits on, or every dependency wait burns the producer's whole time
-/// slice (seconds per solve instead of microseconds).
-TEST(P2pExecutor, TeamPinnedToOneCpuYieldsToProducers) {
-  if (!affinitySupported()) GTEST_SKIP() << "no affinity support";
-  const auto lower = datagen::grid2dLaplacian5(120, 120).lowerTriangle();
-  const Dag d = Dag::fromLowerTriangular(lower);
-  const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
-  const P2pExecutor exec(lower, spmp.schedule, spmp.reduced_dag);
-  const auto b = rhsFor(lower, referenceSolution(lower.rows(), 98));
-  std::vector<double> expected(b.size());
-  solveLowerSerial(lower, b, expected);
-  auto ctx = exec.createContext();
-  ctx->setPinnedCores({0});
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < 20; ++rep) {
-    std::vector<double> x(b.size());
-    exec.solve(b, x, *ctx, 2);
-    ASSERT_EQ(x, expected) << "solve " << rep;
-  }
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(elapsed.count(), 5.0);
-}
-
 /// The superstep walk's peer waits on one CPU: a waiter must yield to
-/// the descheduled peer whose progress it waits for, as in the P2P test
-/// above.
+/// the descheduled peer whose progress it waits for, or every wait burns
+/// the producer's whole time slice (seconds per solve instead of
+/// microseconds).
 TEST(BspExecutor, TeamPinnedToOneCpuYieldsToProducers) {
   if (!affinitySupported()) GTEST_SKIP() << "no affinity support";
   const auto lower = datagen::grid2dLaplacian5(120, 120).lowerTriangle();
@@ -377,6 +288,7 @@ TEST(BspExecutor, TeamPinnedToOneCpuYieldsToProducers) {
   const std::pair<const char*, Schedule> schedules[] = {
       {"GrowLocal", core::growLocalSchedule(d, {.num_cores = 2})},
       {"HDagg", baselines::hdaggSchedule(d, hdaggOptions(2))},
+      {"SpMP", baselines::spmpSchedule(d, {.num_cores = 2}).schedule},
   };
   for (const auto& [kind, sched] : schedules) {
     const BspExecutor exec(lower, sched);
@@ -453,30 +365,36 @@ TEST(ContiguousExecutor, MultiRhsMatchesSingleSolvesBitwise) {
   }
 }
 
-TEST(P2pExecutor, MultiRhsMatchesSerial) {
+/// Each column of a kSpmp solver's multi-RHS solve is bitwise that
+/// column's solve() and the serial solve, on every team.
+TEST(SpmpSolver, MultiRhsMatchesPerColumnSolves) {
   const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 8e-3, .seed = 96});
-  const Dag d = Dag::fromLowerTriangular(lower);
-  const auto spmp = baselines::spmpSchedule(d, {.num_cores = 2});
-  const P2pExecutor exec(lower, spmp.schedule, spmp.reduced_dag);
+  const auto solver = TriangularSolver::analyze(lower, spmpSolverOptions(3));
   const auto n = static_cast<size_t>(lower.rows());
   constexpr index_t kNrhs = 3;
-  std::vector<double> b_multi(n * kNrhs), x_multi(n * kNrhs, 0.0);
-  std::vector<std::vector<double>> expected;
+  std::vector<double> b_multi(n * kNrhs);
+  std::vector<std::vector<double>> columns;
   for (index_t c = 0; c < kNrhs; ++c) {
-    const auto x_true = referenceSolution(lower.rows(), 97 + c);
-    const auto b = rhsFor(lower, x_true);
+    const auto b = rhsFor(lower, referenceSolution(lower.rows(), 97 + c));
     for (size_t i = 0; i < n; ++i) {
       b_multi[i * kNrhs + static_cast<size_t>(c)] = b[i];
     }
-    expected.emplace_back(n, 0.0);
-    solveLowerSerial(lower, b, expected.back());
+    columns.push_back(b);
   }
-  exec.solveTiles(b_multi, x_multi, TileLayout(lower.rows(), kNrhs, kNrhs),
-                  *exec.createContext(), exec.numThreads());
-  for (index_t c = 0; c < kNrhs; ++c) {
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)],
-                expected[static_cast<size_t>(c)][i]);
+  auto ctx = solver.createContext();
+  for (int team = 1; team <= solver.numThreads(); ++team) {
+    std::vector<double> x_multi(n * kNrhs, 0.0);
+    solver.solveMultiRhs(b_multi, x_multi, kNrhs, *ctx, team);
+    for (index_t c = 0; c < kNrhs; ++c) {
+      const auto& b = columns[static_cast<size_t>(c)];
+      std::vector<double> x_col(n, 0.0), x_serial(n, 0.0);
+      solver.solve(b, x_col, *ctx, team);
+      solveLowerSerial(lower, b, x_serial);
+      EXPECT_EQ(x_col, x_serial) << "team " << team << " rhs " << c;
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(x_multi[i * kNrhs + static_cast<size_t>(c)], x_col[i])
+            << "team " << team << " rhs " << c << " row " << i;
+      }
     }
   }
 }

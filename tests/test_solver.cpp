@@ -200,7 +200,7 @@ TEST(TriangularSolver, SolveMultiRhsSingleColumnIsSolve) {
     bool reorder;
   } configs[] = {{SchedulerKind::kGrowLocal, true},   // BspExecutor, ranges
                  {SchedulerKind::kHdagg, false},      // BspExecutor, lists
-                 {SchedulerKind::kSpmp, false},       // P2pExecutor
+                 {SchedulerKind::kSpmp, false},       // BspExecutor, levels
                  {SchedulerKind::kSerial, false}};
   for (const auto& config : configs) {
     SolverOptions opts;

@@ -66,7 +66,7 @@ std::vector<ExecutorConfig> executorConfigs(int width) {
     SolverOptions opts;
     opts.scheduler = SchedulerKind::kSpmp;
     opts.num_threads = width;
-    configs.push_back({"p2p", opts});
+    configs.push_back({"spmp", opts});
   }
   return configs;
 }

@@ -5,11 +5,12 @@ Seven rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
-      A `#pragma omp parallel` team region in src/exec/ may live only in
-      the two walkers of exec/walk.hpp (the superstep walk and the P2P
-      walk): every solve path is an instantiation of a walker, so a new hand-written
-      region is a copy that can drift from them. Each allowed region must
-      install a ScopedPin and an obs::StepTracer near the top of its body.
+      src/exec/ has exactly one `#pragma omp parallel` team region: the
+      superstep walk of exec/walk.hpp. Every solve path is an
+      instantiation of that walk, so a region in any other file, or a
+      second one in walk.hpp, is a copy that can drift from it. The region
+      must install a ScopedPin and an obs::StepTracer near the top of its
+      body.
       A region without the pin silently ignores core-set leases (batches
       overlap cores again); one without the tracer makes that region
       invisible to compute/wait attribution. Analysis-time `parallel for`
@@ -81,9 +82,10 @@ SRC = REPO / "src"
 # lines; the slack only absorbs comments and the thread-id prologue.
 OMP_WINDOW = 15
 
-# The only src/exec file allowed to open a team region (the walkers),
-# relative to src/.
-OMP_REGION_FILES = ("exec/walk.hpp",)
+# The only src/exec file allowed to open a team region (the superstep
+# walk), relative to src/, and how many it may open.
+OMP_REGION_FILE = "exec/walk.hpp"
+OMP_REGIONS_ALLOWED = 1
 
 # Per-solve settings that are analysis products (analyze-time-settings).
 SOLVE_CALL = re.compile(r"\bsolve\w*\s*\(")
@@ -171,17 +173,25 @@ def balanced_args(text: str, start: int) -> str | None:
 
 def check_omp_regions(path: Path, lines: list[str]) -> list[str]:
     errors = []
+    regions = 0
     for idx, line in enumerate(lines):
         stripped = strip_comments_and_strings(line)
         if "#pragma omp parallel" not in stripped:
             continue
         if re.search(r"#pragma omp parallel\s+for\b", stripped):
             continue  # analysis-time parallel loops carry no solve region
-        if path.relative_to(SRC).as_posix() not in OMP_REGION_FILES:
+        if path.relative_to(SRC).as_posix() != OMP_REGION_FILE:
             errors.append(
                 f"{path.relative_to(REPO)}:{idx + 1}: omp-region-discipline: "
-                f"team region outside the walkers (exec/walk.hpp); "
-                f"instantiate a walker instead")
+                f"team region outside the superstep walk (exec/walk.hpp); "
+                f"instantiate the walk instead")
+            continue
+        regions += 1
+        if regions > OMP_REGIONS_ALLOWED:
+            errors.append(
+                f"{path.relative_to(REPO)}:{idx + 1}: omp-region-discipline: "
+                f"a second team region in exec/walk.hpp; the superstep walk "
+                f"is the only one")
             continue
         window = "\n".join(lines[idx:idx + OMP_WINDOW + 1])
         missing = [need for need in ("ScopedPin", "StepTracer")
@@ -390,16 +400,36 @@ FIXTURES = [
     work();
   }
 """, "omp-region-discipline"),
-    ("team region outside the walkers", "src/exec/bsp.cpp", """
+    ("team region outside the walk", "src/exec/bsp.cpp", """
 #pragma omp parallel num_threads(team)
   {
     const ScopedPin pin(pin_set, t);
     obs::StepTracer tracer(sink);
   }
 """, "omp-region-discipline"),
-    ("team region in an exec header outside the walkers", "src/exec/fix.hpp",
+    ("team region in an exec header outside the walk", "src/exec/fix.hpp",
      """
 #pragma once
+#pragma omp parallel num_threads(team)
+  {
+    const ScopedPin pin(pin_set, t);
+    obs::StepTracer tracer(sink);
+  }
+""", "omp-region-discipline"),
+    ("second team region in the walk file", "src/exec/walk.hpp", """
+#pragma once
+#pragma omp parallel num_threads(team)
+  {
+    const ScopedPin pin(pin_set, t);
+    obs::StepTracer tracer(sink);
+  }
+#pragma omp parallel num_threads(team)
+  {
+    const ScopedPin pin(pin_set, t);
+    obs::StepTracer tracer(sink);
+  }
+""", "omp-region-discipline"),
+    ("team region in the former P2P executor", "src/exec/p2p.cpp", """
 #pragma omp parallel num_threads(team)
   {
     const ScopedPin pin(pin_set, t);
@@ -438,7 +468,7 @@ solver.solveTiles(b, x, layout, ctx, team,
 """, "analyze-time-settings"),
     ("executor keeping a default context", "src/exec/fix.hpp", """
 #pragma once
-class P2pExecutor final : public Executor {
+class BspExecutor final : public Executor {
  private:
   mutable SolveContext default_ctx_;
 };
