@@ -177,7 +177,9 @@ Schedule hdaggSchedule(const Dag& dag, const HdaggOptions& opts) {
                     std::vector<sts::offset_t>{0});
   }
   if (!opts.coarsen) return hdaggOnDag(dag, opts);
-  const core::Partition partition = core::funnelPartition(dag, opts.funnel);
+  core::FunnelOptions funnel = opts.funnel;
+  if (funnel.num_threads == 0) funnel.num_threads = opts.num_cores;
+  const core::Partition partition = core::funnelPartition(dag, funnel);
   const Dag coarse = core::coarsen(dag, partition);
   const Schedule coarse_schedule = hdaggOnDag(coarse, opts);
   return core::pullBackSchedule(dag, partition, coarse_schedule);

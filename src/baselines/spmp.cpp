@@ -8,11 +8,11 @@ namespace sts::baselines {
 SpmpResult spmpSchedule(const Dag& dag, const SpmpOptions& opts) {
   SpmpResult result;
   if (opts.transitive_reduction) {
-    auto reduction = dag::approximateTransitiveReduction(dag, opts.reduction);
+    dag::TransitiveReductionOptions reduction_opts = opts.reduction;
+    reduction_opts.num_threads = opts.num_cores;
+    auto reduction = dag::approximateTransitiveReduction(dag, reduction_opts);
     result.reduced_dag = std::move(reduction.dag);
     result.removed_edges = reduction.removed_edges;
-  } else {
-    result.reduced_dag = dag;
   }
   // The level partition itself is the wavefront schedule: contiguous
   // weight-balanced chunks preserve the input ordering's locality, as SpMP

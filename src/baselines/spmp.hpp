@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+
 #include "core/schedule.hpp"
 #include "dag/dag.hpp"
 #include "dag/transitive.hpp"
@@ -34,15 +36,16 @@ struct SpmpOptions {
   int num_cores = 2;
   /// Apply the "remove long edges in triangles" pass [PSSD14 §2.3].
   bool transitive_reduction = true;
+  /// The pass's budget; it runs num_cores wide (`reduction.num_threads` is
+  /// overridden).
   dag::TransitiveReductionOptions reduction = {};
 };
 
 struct SpmpResult {
   /// Level-set schedule (one superstep per wavefront).
   Schedule schedule;
-  /// DAG after transitive reduction (the input DAG when the reduction is
-  /// off).
-  Dag reduced_dag;
+  /// DAG after transitive reduction; empty when the reduction is off.
+  std::optional<Dag> reduced_dag;
   sts::offset_t removed_edges = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -45,7 +46,8 @@ Schedule blockSchedule(const Dag& dag, int num_blocks, bool parallel,
   // reads the final count (the loop has joined, so it never spins).
   std::atomic<int> finished{0};
 
-#pragma omp parallel for schedule(dynamic, 1) if (parallel)
+#pragma omp parallel for schedule(dynamic, 1) if (parallel) \
+    num_threads(std::max(1, num_cores))
   for (int b = 0; b < num_blocks; ++b) {
     const index_t lo = bounds[static_cast<size_t>(b)];
     const index_t hi = bounds[static_cast<size_t>(b) + 1];

@@ -8,6 +8,7 @@
 #include "dag/toposort.hpp"
 #include "dag/transitive.hpp"
 #include "dag/wavefronts.hpp"
+#include "obs/trace.hpp"
 
 namespace sts::core {
 
@@ -34,12 +35,6 @@ class MaxIdHeap {
  private:
   std::vector<index_t> data_;
 };
-
-Dag reversedDag(const Dag& dag) {
-  std::vector<dag::Edge> edges = dag.edgeList();
-  for (auto& [u, v] : edges) std::swap(u, v);
-  return Dag::fromEdges(dag.numVertices(), edges, dag.weights());
-}
 
 /// In-funnel partition of `g` (Algorithm 4.1) with size/weight caps.
 std::vector<index_t> inFunnelPartOf(const Dag& g, index_t max_size,
@@ -145,7 +140,9 @@ Partition funnelPartition(const Dag& dag, const FunnelOptions& opts) {
   const Dag* work = &dag;
   Dag reduced;
   if (opts.pre_transitive_reduction) {
-    reduced = dag::approximateTransitiveReduction(dag).dag;
+    dag::TransitiveReductionOptions reduction;
+    reduction.num_threads = std::max(1, opts.num_threads);
+    reduced = dag::approximateTransitiveReduction(dag, reduction).dag;
     work = &reduced;
   }
   std::vector<index_t> part_of;
@@ -153,7 +150,7 @@ Partition funnelPartition(const Dag& dag, const FunnelOptions& opts) {
     part_of = inFunnelPartOf(*work, opts.max_part_size, opts.max_part_weight);
   } else {
     // Out-funnels are in-funnels of the reversed graph.
-    const Dag rev = reversedDag(*work);
+    const Dag rev = work->reversed();
     part_of = inFunnelPartOf(rev, opts.max_part_size, opts.max_part_weight);
   }
   return Partition::fromPartOf(dag.numVertices(), part_of);
@@ -163,20 +160,34 @@ Dag coarsen(const Dag& dag, const Partition& partition) {
   if (static_cast<index_t>(partition.part_of.size()) != dag.numVertices()) {
     throw std::invalid_argument("coarsen: partition size mismatch");
   }
-  std::vector<weight_t> weights(static_cast<size_t>(partition.num_parts), 0);
+  STS_TRACE_SPAN1("plan", "coarsen", "parts", partition.num_parts);
+  const auto parts = static_cast<size_t>(partition.num_parts);
+  std::vector<weight_t> weights(parts, 0);
   for (index_t v = 0; v < dag.numVertices(); ++v) {
     weights[static_cast<size_t>(partition.part_of[static_cast<size_t>(v)])] +=
         dag.weight(v);
   }
-  std::vector<dag::Edge> coarse_edges;
-  for (index_t u = 0; u < dag.numVertices(); ++u) {
-    const index_t pu = partition.part_of[static_cast<size_t>(u)];
-    for (const index_t v : dag.children(u)) {
-      const index_t pv = partition.part_of[static_cast<size_t>(v)];
-      if (pu != pv) coarse_edges.emplace_back(pu, pv);
+  // The parent parts of each part: collected once each with a marker array
+  // (last_seen[q] == p once q is listed for p), then sorted per part.
+  std::vector<offset_t> in_ptr(parts + 1, 0);
+  std::vector<index_t> in_adj;
+  std::vector<index_t> last_seen(parts, -1);
+  for (index_t p = 0; p < partition.num_parts; ++p) {
+    const auto begin = static_cast<std::ptrdiff_t>(in_adj.size());
+    for (const index_t v : partition.members(p)) {
+      for (const index_t u : dag.parents(v)) {
+        const index_t q = partition.part_of[static_cast<size_t>(u)];
+        if (q != p && last_seen[static_cast<size_t>(q)] != p) {
+          last_seen[static_cast<size_t>(q)] = p;
+          in_adj.push_back(q);
+        }
+      }
     }
+    std::sort(in_adj.begin() + begin, in_adj.end());
+    in_ptr[static_cast<size_t>(p) + 1] = static_cast<offset_t>(in_adj.size());
   }
-  return Dag::fromEdges(partition.num_parts, coarse_edges, weights);
+  return Dag::fromParents(partition.num_parts, std::move(in_ptr),
+                          std::move(in_adj), std::move(weights));
 }
 
 Schedule pullBackSchedule(const Dag& fine_dag, const Partition& partition,
@@ -258,7 +269,9 @@ bool isCascade(const Dag& dag, std::span<const index_t> members) {
 Schedule funnelGrowLocalSchedule(const Dag& dag,
                                  const GrowLocalOptions& gl_opts,
                                  const FunnelOptions& funnel_opts) {
-  const Partition partition = funnelPartition(dag, funnel_opts);
+  FunnelOptions funnel = funnel_opts;
+  if (funnel.num_threads == 0) funnel.num_threads = gl_opts.num_cores;
+  const Partition partition = funnelPartition(dag, funnel);
   const Dag coarse = coarsen(dag, partition);
   const Schedule coarse_schedule = growLocalSchedule(coarse, gl_opts);
   return pullBackSchedule(dag, partition, coarse_schedule);

@@ -59,6 +59,12 @@ struct FunnelOptions {
   /// Remove "long edges in triangles" before searching for funnels (§4.2);
   /// larger components are found on the reduced graph.
   bool pre_transitive_reduction = true;
+
+  /// Width of that reduction's OpenMP loop (the result does not depend on
+  /// it). 0 means the width of the schedule being built: GrowLocalOptions::
+  /// num_cores in funnelGrowLocalSchedule, HdaggOptions::num_cores in
+  /// hdaggSchedule; funnelPartition on its own runs 0 as 1.
+  int num_threads = 0;
 };
 
 /// Algorithm 4.1 (plus the out-funnel mirror): greedy funnel growth from

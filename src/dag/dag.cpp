@@ -3,67 +3,122 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace sts::dag {
 
 namespace {
 
-/// Builds a CSR-style adjacency from (key, value) pairs with keys in [0, n).
-/// Pairs must be pre-sorted and deduplicated by the caller.
-void buildAdjacency(index_t n, std::span<const Edge> pairs,
-                    bool key_is_parent, std::vector<offset_t>& ptr,
-                    std::vector<index_t>& adj) {
-  ptr.assign(static_cast<size_t>(n) + 1, 0);
-  for (const auto& [u, v] : pairs) {
-    const index_t key = key_is_parent ? u : v;
-    ++ptr[static_cast<size_t>(key) + 1];
+/// `weights`, or all ones when it is empty; throws unless that makes n
+/// positive weights.
+std::vector<weight_t> checkedWeights(index_t n, std::vector<weight_t> weights,
+                                     const char* who) {
+  if (weights.empty()) {
+    weights.assign(static_cast<size_t>(n), 1);
+  } else if (static_cast<index_t>(weights.size()) != n) {
+    throw std::invalid_argument(std::string(who) + ": weights size mismatch");
   }
-  std::partial_sum(ptr.begin(), ptr.end(), ptr.begin());
-  adj.resize(pairs.size());
-  std::vector<offset_t> cursor(ptr.begin(), ptr.end() - 1);
-  for (const auto& [u, v] : pairs) {
-    const index_t key = key_is_parent ? u : v;
-    const index_t value = key_is_parent ? v : u;
-    adj[static_cast<size_t>(cursor[static_cast<size_t>(key)]++)] = value;
+  for (const weight_t w : weights) {
+    if (w <= 0) throw std::invalid_argument(std::string(who) + ": weight <= 0");
   }
-  // Sort each neighborhood (stable layout for tests and determinism).
-  for (index_t v = 0; v < n; ++v) {
-    std::sort(adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<size_t>(v)]),
-              adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<size_t>(v) + 1]));
-  }
+  return weights;
 }
 
 }  // namespace
 
+Dag Dag::assemble(index_t n, std::vector<offset_t> in_ptr,
+                  std::vector<index_t> in_adj, std::vector<weight_t> weights) {
+  Dag d;
+  d.n_ = n;
+  d.weight_ = std::move(weights);
+  d.total_weight_ =
+      std::accumulate(d.weight_.begin(), d.weight_.end(), weight_t{0});
+  d.in_ptr_ = std::move(in_ptr);
+  d.in_adj_ = std::move(in_adj);
+  // Children = transpose of parents; filling in increasing child order keeps
+  // each child list sorted.
+  d.out_ptr_.assign(static_cast<size_t>(n) + 1, 0);
+  for (const index_t j : d.in_adj_) ++d.out_ptr_[static_cast<size_t>(j) + 1];
+  std::partial_sum(d.out_ptr_.begin(), d.out_ptr_.end(), d.out_ptr_.begin());
+  d.out_adj_.resize(d.in_adj_.size());
+  std::vector<offset_t> cursor(d.out_ptr_.begin(), d.out_ptr_.end() - 1);
+  for (index_t i = 0; i < n; ++i) {
+    for (offset_t k = d.in_ptr_[static_cast<size_t>(i)];
+         k < d.in_ptr_[static_cast<size_t>(i) + 1]; ++k) {
+      const auto j = static_cast<size_t>(d.in_adj_[static_cast<size_t>(k)]);
+      d.out_adj_[static_cast<size_t>(cursor[j]++)] = i;
+    }
+  }
+  return d;
+}
+
+Dag Dag::fromParents(index_t n, std::vector<offset_t> in_ptr,
+                     std::vector<index_t> in_adj,
+                     std::vector<weight_t> weights) {
+  if (n < 0) throw std::invalid_argument("Dag::fromParents: negative n");
+  if (in_ptr.size() != static_cast<size_t>(n) + 1 || in_ptr.front() != 0 ||
+      in_ptr.back() != static_cast<offset_t>(in_adj.size())) {
+    throw std::invalid_argument("Dag::fromParents: bad in_ptr");
+  }
+  for (index_t v = 0; v < n; ++v) {
+    const offset_t lo = in_ptr[static_cast<size_t>(v)];
+    const offset_t hi = in_ptr[static_cast<size_t>(v) + 1];
+    if (hi < lo) throw std::invalid_argument("Dag::fromParents: bad in_ptr");
+    for (offset_t k = lo; k < hi; ++k) {
+      const index_t u = in_adj[static_cast<size_t>(k)];
+      if (u < 0 || u >= n) {
+        throw std::invalid_argument("Dag::fromParents: parent out of range");
+      }
+      if (u == v) throw std::invalid_argument("Dag::fromParents: self-loop");
+      if (k > lo && u <= in_adj[static_cast<size_t>(k) - 1]) {
+        throw std::invalid_argument(
+            "Dag::fromParents: parents not strictly ascending");
+      }
+    }
+  }
+  return assemble(n, std::move(in_ptr), std::move(in_adj),
+                  checkedWeights(n, std::move(weights), "Dag::fromParents"));
+}
+
 Dag Dag::fromEdges(index_t n, std::span<const Edge> edges,
                    std::span<const weight_t> weights) {
   if (n < 0) throw std::invalid_argument("Dag::fromEdges: negative n");
-  if (!weights.empty() && static_cast<index_t>(weights.size()) != n) {
-    throw std::invalid_argument("Dag::fromEdges: weights size mismatch");
-  }
-  std::vector<Edge> sorted(edges.begin(), edges.end());
-  for (const auto& [u, v] : sorted) {
+  for (const auto& [u, v] : edges) {
     if (u < 0 || u >= n || v < 0 || v >= n) {
       throw std::invalid_argument("Dag::fromEdges: edge endpoint out of range");
     }
     if (u == v) throw std::invalid_argument("Dag::fromEdges: self-loop");
   }
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-
-  Dag d;
-  d.n_ = n;
-  d.weight_ = weights.empty()
-                  ? std::vector<weight_t>(static_cast<size_t>(n), 1)
-                  : std::vector<weight_t>(weights.begin(), weights.end());
-  for (const weight_t w : d.weight_) {
-    if (w <= 0) throw std::invalid_argument("Dag::fromEdges: weight <= 0");
+  // Bucket the parents by child (counting sort), then sort and deduplicate
+  // each short parent list in place, compacting as we go.
+  std::vector<offset_t> ptr(static_cast<size_t>(n) + 1, 0);
+  for (const auto& e : edges) ++ptr[static_cast<size_t>(e.second) + 1];
+  std::partial_sum(ptr.begin(), ptr.end(), ptr.begin());
+  std::vector<index_t> adj(edges.size());
+  {
+    std::vector<offset_t> cursor(ptr.begin(), ptr.end() - 1);
+    for (const auto& [u, v] : edges) {
+      adj[static_cast<size_t>(cursor[static_cast<size_t>(v)]++)] = u;
+    }
   }
-  d.total_weight_ =
-      std::accumulate(d.weight_.begin(), d.weight_.end(), weight_t{0});
-  buildAdjacency(n, sorted, /*key_is_parent=*/true, d.out_ptr_, d.out_adj_);
-  buildAdjacency(n, sorted, /*key_is_parent=*/false, d.in_ptr_, d.in_adj_);
-  return d;
+  offset_t begin = 0;
+  offset_t kept = 0;
+  for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
+    const offset_t end = ptr[v + 1];
+    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(begin);
+    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(end);
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    std::move(first, unique_end,
+              adj.begin() + static_cast<std::ptrdiff_t>(kept));
+    kept += unique_end - first;
+    ptr[v + 1] = kept;
+    begin = end;
+  }
+  adj.resize(static_cast<size_t>(kept));
+  return assemble(n, std::move(ptr), std::move(adj),
+                  checkedWeights(n, {weights.begin(), weights.end()},
+                                 "Dag::fromEdges"));
 }
 
 Dag Dag::fromLowerTriangular(const sparse::CsrMatrix& lower) {
@@ -74,51 +129,26 @@ Dag Dag::fromLowerTriangular(const sparse::CsrMatrix& lower) {
     throw std::invalid_argument("fromLowerTriangular: matrix is not lower triangular");
   }
   const index_t n = lower.rows();
-
-  Dag d;
-  d.n_ = n;
-  d.weight_.resize(static_cast<size_t>(n));
+  std::vector<weight_t> weights(static_cast<size_t>(n));
   for (index_t i = 0; i < n; ++i) {
-    d.weight_[static_cast<size_t>(i)] =
-        std::max<weight_t>(1, lower.rowNnz(i));
+    weights[static_cast<size_t>(i)] = std::max<weight_t>(1, lower.rowNnz(i));
   }
-  d.total_weight_ =
-      std::accumulate(d.weight_.begin(), d.weight_.end(), weight_t{0});
-
   // Parents of i are exactly the off-diagonal columns of row i (sorted).
-  d.in_ptr_.assign(static_cast<size_t>(n) + 1, 0);
+  std::vector<offset_t> in_ptr(static_cast<size_t>(n) + 1, 0);
   for (index_t i = 0; i < n; ++i) {
     offset_t cnt = 0;
     for (const index_t j : lower.rowCols(i)) cnt += (j < i) ? 1 : 0;
-    d.in_ptr_[static_cast<size_t>(i) + 1] = cnt;
+    in_ptr[static_cast<size_t>(i) + 1] = cnt;
   }
-  std::partial_sum(d.in_ptr_.begin(), d.in_ptr_.end(), d.in_ptr_.begin());
-  d.in_adj_.resize(static_cast<size_t>(d.in_ptr_.back()));
-  {
-    offset_t k = 0;
-    for (index_t i = 0; i < n; ++i) {
-      for (const index_t j : lower.rowCols(i)) {
-        if (j < i) d.in_adj_[static_cast<size_t>(k++)] = j;
-      }
+  std::partial_sum(in_ptr.begin(), in_ptr.end(), in_ptr.begin());
+  std::vector<index_t> in_adj(static_cast<size_t>(in_ptr.back()));
+  offset_t k = 0;
+  for (index_t i = 0; i < n; ++i) {
+    for (const index_t j : lower.rowCols(i)) {
+      if (j < i) in_adj[static_cast<size_t>(k++)] = j;
     }
   }
-  // Children = transpose of parents; filling in increasing child order keeps
-  // each child list sorted.
-  d.out_ptr_.assign(static_cast<size_t>(n) + 1, 0);
-  for (const index_t j : d.in_adj_) ++d.out_ptr_[static_cast<size_t>(j) + 1];
-  std::partial_sum(d.out_ptr_.begin(), d.out_ptr_.end(), d.out_ptr_.begin());
-  d.out_adj_.resize(d.in_adj_.size());
-  {
-    std::vector<offset_t> cursor(d.out_ptr_.begin(), d.out_ptr_.end() - 1);
-    for (index_t i = 0; i < n; ++i) {
-      for (offset_t k = d.in_ptr_[static_cast<size_t>(i)];
-           k < d.in_ptr_[static_cast<size_t>(i) + 1]; ++k) {
-        const auto j = static_cast<size_t>(d.in_adj_[static_cast<size_t>(k)]);
-        d.out_adj_[static_cast<size_t>(cursor[j]++)] = i;
-      }
-    }
-  }
-  return d;
+  return assemble(n, std::move(in_ptr), std::move(in_adj), std::move(weights));
 }
 
 Dag Dag::fromUpperTriangular(const sparse::CsrMatrix& upper) {
@@ -130,17 +160,22 @@ Dag Dag::fromUpperTriangular(const sparse::CsrMatrix& upper) {
   }
   const index_t n = upper.rows();
   // Backward substitution runs rows n-1..0; relabel k = n-1-i so that the
-  // DAG keeps the "edges ascend IDs" property of the forward case.
-  std::vector<Edge> edges;
-  std::vector<weight_t> weights(static_cast<size_t>(n), 1);
-  for (index_t i = 0; i < n; ++i) {
-    weights[static_cast<size_t>(n - 1 - i)] =
-        std::max<weight_t>(1, upper.rowNnz(i));
-    for (const index_t j : upper.rowCols(i)) {
-      if (j > i) edges.emplace_back(n - 1 - j, n - 1 - i);
+  // DAG keeps the "edges ascend IDs" property of the forward case. The
+  // parents of vertex k are n-1-j for the columns j > i of row i; walking
+  // the row's sorted columns backwards lists them ascending.
+  std::vector<weight_t> weights(static_cast<size_t>(n));
+  std::vector<offset_t> in_ptr(static_cast<size_t>(n) + 1, 0);
+  std::vector<index_t> in_adj;
+  for (index_t k = 0; k < n; ++k) {
+    const index_t i = n - 1 - k;
+    weights[static_cast<size_t>(k)] = std::max<weight_t>(1, upper.rowNnz(i));
+    const auto cols = upper.rowCols(i);
+    for (auto it = cols.rbegin(); it != cols.rend() && *it > i; ++it) {
+      in_adj.push_back(n - 1 - *it);
     }
+    in_ptr[static_cast<size_t>(k) + 1] = static_cast<offset_t>(in_adj.size());
   }
-  return fromEdges(n, edges, weights);
+  return assemble(n, std::move(in_ptr), std::move(in_adj), std::move(weights));
 }
 
 bool Dag::hasEdge(index_t parent, index_t child) const {
@@ -181,19 +216,29 @@ bool Dag::isAcyclic() const {
   return processed == static_cast<size_t>(n_);
 }
 
+Dag Dag::reversed() const {
+  Dag r = *this;
+  std::swap(r.in_ptr_, r.out_ptr_);
+  std::swap(r.in_adj_, r.out_adj_);
+  return r;
+}
+
 Dag Dag::rangeSubgraph(index_t lo, index_t hi) const {
   if (lo < 0 || hi < lo || hi > n_) {
     throw std::invalid_argument("rangeSubgraph: bad range");
   }
   const index_t m = hi - lo;
-  std::vector<Edge> edges;
+  // Filtering a sorted parent list keeps it sorted.
+  std::vector<offset_t> ptr(static_cast<size_t>(m) + 1, 0);
+  std::vector<index_t> adj;
   for (index_t v = lo; v < hi; ++v) {
     for (const index_t u : parents(v)) {
-      if (u >= lo && u < hi) edges.emplace_back(u - lo, v - lo);
+      if (u >= lo && u < hi) adj.push_back(u - lo);
     }
+    ptr[static_cast<size_t>(v - lo) + 1] = static_cast<offset_t>(adj.size());
   }
   std::vector<weight_t> w(weight_.begin() + lo, weight_.begin() + hi);
-  return fromEdges(m, edges, w);
+  return assemble(m, std::move(ptr), std::move(adj), std::move(w));
 }
 
 void Dag::validate() const {

@@ -37,8 +37,19 @@ class Dag {
   /// Builds from an edge list; duplicate edges are collapsed, self-loops
   /// rejected. `weights` must be empty (all 1) or size n; weights must be
   /// positive. Does NOT check acyclicity — call isAcyclic() when needed.
+  /// No global edge sort: edges are bucketed by child, then each parent
+  /// list is sorted and deduplicated on its own.
   static Dag fromEdges(index_t n, std::span<const Edge> edges,
                        std::span<const weight_t> weights = {});
+
+  /// Builds from parent lists in CSR form: the parents of v are
+  /// in_adj[in_ptr[v] .. in_ptr[v + 1]), strictly ascending, in range and
+  /// never v itself (std::invalid_argument otherwise). `weights` as in
+  /// fromEdges. The child lists are the counting transpose, so the build
+  /// is O(n + E) with no sort.
+  static Dag fromParents(index_t n, std::vector<offset_t> in_ptr,
+                         std::vector<index_t> in_adj,
+                         std::vector<weight_t> weights = {});
 
   /// The forward-substitution DAG of a lower triangular matrix (Fig. 1.1).
   /// Weight of vertex i = max(1, nnz(row i)).
@@ -78,6 +89,10 @@ class Dag {
   /// Kahn's algorithm; true iff a complete topological order exists.
   bool isAcyclic() const;
 
+  /// The same vertices and weights with every edge reversed (children
+  /// become parents); O(n + E), no rebuild.
+  Dag reversed() const;
+
   /// Sub-DAG induced on the contiguous vertex range [lo, hi): keeps edges
   /// with both endpoints inside; vertex v maps to v - lo; weights preserved
   /// (block scheduling keeps full-row weights, §3.1).
@@ -91,6 +106,12 @@ class Dag {
   std::vector<Edge> edgeList() const;
 
  private:
+  /// fromParents without the input checks, for parent lists and n
+  /// weights that are valid by construction.
+  static Dag assemble(index_t n, std::vector<offset_t> in_ptr,
+                      std::vector<index_t> in_adj,
+                      std::vector<weight_t> weights);
+
   static std::span<const index_t> span(const std::vector<offset_t>& ptr,
                                        const std::vector<index_t>& adj,
                                        index_t v) {

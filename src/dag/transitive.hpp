@@ -19,6 +19,9 @@ struct TransitiveReductionOptions {
   /// unbounded. The default caps worst-case O(sum deg^2) blowup on dense-ish
   /// random matrices.
   offset_t max_inspections = 200'000'000;
+  /// Width of the pass's OpenMP loop over vertices (>= 1). The result is
+  /// identical at every width: the budget is split by vertex in advance.
+  int num_threads = 1;
 };
 
 struct TransitiveReductionResult {
@@ -29,7 +32,12 @@ struct TransitiveReductionResult {
 
 /// Removes every edge (u, v) for which a length-2 path u -> w -> v exists
 /// (checked exactly; only such edges are removed, so reachability is
-/// preserved). Runs in O(sum_w deg-(w) * deg+(w)) inspections.
+/// preserved). Runs in O(sum_w deg-(w) * deg+(w)) inspections, spread over
+/// `opts.num_threads` threads. The budget is spent as by one pass over
+/// v = 0, 1, ...: vertex v inspects the parents of each of its parents in
+/// order, the vertex whose inspections cross the budget gets only what is
+/// left, and every later vertex keeps all of its edges. So the kept edges,
+/// `removed_edges` and `exhausted_budget` do not depend on the width.
 TransitiveReductionResult approximateTransitiveReduction(
     const Dag& dag, const TransitiveReductionOptions& opts = {});
 

@@ -43,9 +43,16 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   solver.n_ = matrix.rows();
   solver.options_ = options;
 
-  // Normalize to a lower triangular system.
+  const bool reorder = options.reorder &&
+                       options.scheduler != SchedulerKind::kSpmp &&
+                       options.scheduler != SchedulerKind::kSerial;
+
+  // Normalize to a lower triangular system. A lower triangular input is
+  // read in place: the solver copies it only if the executor walks it
+  // un-reordered, since the §5 reorder builds a matrix of its own.
+  const CsrMatrix* lower = &matrix;
   if (matrix.isLowerTriangular()) {
-    solver.matrix_ = std::make_shared<const CsrMatrix>(matrix);
+    if (!reorder) solver.matrix_ = std::make_shared<const CsrMatrix>(matrix);
     solver.total_new_to_old_ = sparse::identityPermutation(matrix.rows());
   } else if (matrix.isUpperTriangular()) {
     std::vector<index_t> reversal(static_cast<size_t>(matrix.rows()));
@@ -54,60 +61,81 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
     }
     solver.matrix_ = std::make_shared<const CsrMatrix>(
         matrix.symmetricPermuted(reversal));
+    lower = solver.matrix_.get();
     solver.total_new_to_old_ = std::move(reversal);
     solver.permuted_ = true;
   } else {
     throw std::invalid_argument("TriangularSolver: matrix is not triangular");
   }
-  requireSolvableLower(*solver.matrix_);
+  requireSolvableLower(*lower);
+
+  // The CPUs the process may run on. hardware_concurrency() counts online
+  // CPUs, not the affinity mask, so it is only the fallback.
+  const auto mask = static_cast<int>(systemCoreSet().size());
+  const int usable =
+      mask > 0 ? mask : static_cast<int>(std::thread::hardware_concurrency());
+  const auto clampToUsable = [usable](int width) {
+    return usable > 0 ? std::min(width, usable) : width;
+  };
 
   const auto t0 = Clock::now();
-  const dag::Dag dag = dag::Dag::fromLowerTriangular(*solver.matrix_);
+  const dag::Dag dag = [&] {
+    STS_TRACE_SPAN("plan", "dag_build");
+    return dag::Dag::fromLowerTriangular(*lower);
+  }();
 
   core::GrowLocalOptions gl = options.growlocal;
   gl.num_cores = options.num_threads;
 
-  switch (options.scheduler) {
-    case SchedulerKind::kGrowLocal:
-      if (options.num_schedule_blocks > 1) {
-        core::BlockScheduleOptions block;
-        block.num_blocks = options.num_schedule_blocks;
-        block.growlocal = gl;
-        solver.schedule_ = core::blockGrowLocalSchedule(dag, block);
-      } else {
-        solver.schedule_ = core::growLocalSchedule(dag, gl);
+  {
+    STS_TRACE_SPAN("plan", "schedule");
+    switch (options.scheduler) {
+      case SchedulerKind::kGrowLocal:
+        if (options.num_schedule_blocks > 1) {
+          core::BlockScheduleOptions block;
+          block.num_blocks = options.num_schedule_blocks;
+          block.growlocal = gl;
+          solver.schedule_ = core::blockGrowLocalSchedule(dag, block);
+        } else {
+          solver.schedule_ = core::growLocalSchedule(dag, gl);
+        }
+        break;
+      case SchedulerKind::kFunnelGrowLocal: {
+        // The funnel's transitive reduction runs at the default team, the
+        // width solves run at.
+        core::FunnelOptions funnel;
+        funnel.num_threads = clampToUsable(options.num_threads);
+        solver.schedule_ = core::funnelGrowLocalSchedule(dag, gl, funnel);
+        break;
       }
-      break;
-    case SchedulerKind::kFunnelGrowLocal:
-      solver.schedule_ = core::funnelGrowLocalSchedule(dag, gl);
-      break;
-    case SchedulerKind::kWavefront:
-      solver.schedule_ = baselines::wavefrontSchedule(
-          dag, baselines::WavefrontOptions{.num_cores = options.num_threads});
-      break;
-    case SchedulerKind::kHdagg: {
-      baselines::HdaggOptions ho;
-      ho.num_cores = options.num_threads;
-      solver.schedule_ = baselines::hdaggSchedule(dag, ho);
-      break;
+      case SchedulerKind::kWavefront:
+        solver.schedule_ = baselines::wavefrontSchedule(
+            dag, baselines::WavefrontOptions{.num_cores = options.num_threads});
+        break;
+      case SchedulerKind::kHdagg: {
+        baselines::HdaggOptions ho;
+        ho.num_cores = options.num_threads;
+        solver.schedule_ = baselines::hdaggSchedule(dag, ho);
+        break;
+      }
+      case SchedulerKind::kSpmp: {
+        // SpMP's per-level tasks run on the superstep walk, whose peer
+        // waits already wait only on the producer tasks a task reads from;
+        // no executor reads a transitively reduced DAG.
+        baselines::SpmpOptions so;
+        so.num_cores = options.num_threads;
+        so.transitive_reduction = false;
+        solver.schedule_ = baselines::spmpSchedule(dag, so).schedule;
+        break;
+      }
+      case SchedulerKind::kBspList:
+        solver.schedule_ = baselines::bspListSchedule(
+            dag, baselines::BspListOptions{.num_cores = options.num_threads});
+        break;
+      case SchedulerKind::kSerial:
+        solver.schedule_ = core::Schedule::serial(dag);
+        break;
     }
-    case SchedulerKind::kSpmp: {
-      // SpMP's per-level tasks run on the superstep walk, whose peer waits
-      // already wait only on the producer tasks a task reads from; no
-      // executor reads a transitively reduced DAG.
-      baselines::SpmpOptions so;
-      so.num_cores = options.num_threads;
-      so.transitive_reduction = false;
-      solver.schedule_ = baselines::spmpSchedule(dag, so).schedule;
-      break;
-    }
-    case SchedulerKind::kBspList:
-      solver.schedule_ = baselines::bspListSchedule(
-          dag, baselines::BspListOptions{.num_cores = options.num_threads});
-      break;
-    case SchedulerKind::kSerial:
-      solver.schedule_ = core::Schedule::serial(dag);
-      break;
   }
 
   if (options.validate) {
@@ -125,22 +153,23 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
                  "TriangularSolver::analyze");
 #endif
 
-  const bool reorder = options.reorder &&
-                       options.scheduler != SchedulerKind::kSpmp &&
-                       options.scheduler != SchedulerKind::kSerial;
   const core::FoldPolicy policy = options.fold_policy;
   if (reorder) {
-    core::ReorderedProblem problem =
-        core::reorderForLocality(*solver.matrix_, solver.schedule_);
+    core::ReorderedProblem problem = [&] {
+      STS_TRACE_SPAN("plan", "reorder");
+      return core::reorderForLocality(*lower, solver.schedule_);
+    }();
     solver.total_new_to_old_ = sparse::composePermutations(
         solver.total_new_to_old_, problem.new_to_old);
     solver.permuted_ = true;
     solver.matrix_ =
         std::make_shared<const CsrMatrix>(std::move(problem.matrix));
+    STS_TRACE_SPAN("plan", "executor_build");
     solver.executor_ = std::make_unique<BspExecutor>(
         *solver.matrix_, problem.num_supersteps, problem.num_cores,
         std::move(problem.group_ptr), policy);
   } else {
+    STS_TRACE_SPAN("plan", "executor_build");
     solver.executor_ = std::make_unique<BspExecutor>(
         *solver.matrix_, solver.schedule_, policy);
   }
@@ -153,13 +182,8 @@ TriangularSolver TriangularSolver::analyze(const CsrMatrix& matrix,
   // re-targets them to any t <= numThreads() at solve time), but the
   // default execution team never exceeds the CPUs the process may run on —
   // oversubscribed superstep waiters would otherwise yield-spin against
-  // absent cores. hardware_concurrency() counts online CPUs, not the
-  // affinity mask, so it is only the fallback.
-  const auto mask = static_cast<int>(systemCoreSet().size());
-  const int usable =
-      mask > 0 ? mask : static_cast<int>(std::thread::hardware_concurrency());
-  solver.default_team_ = usable > 0 ? std::min(solver.numThreads(), usable)
-                                    : solver.numThreads();
+  // absent cores.
+  solver.default_team_ = clampToUsable(solver.numThreads());
 
   solver.default_ctx_ = solver.createContext();
   return solver;

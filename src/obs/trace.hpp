@@ -42,8 +42,10 @@
 /// Request lifecycle (category "engine"): `submit` → `queue_wait` →
 /// `coalesce` → `lease` → `pack` → `solve` → `unpack` → `batch_done`,
 /// plus `pin` instants (one per team member) and `slo_step` controller
-/// decisions. Plan construction (category "plan"): `analyze`,
-/// `fold_build`, `wait_build`, `seed_probe`. Hot loop
+/// decisions. Plan construction (category "plan"): `analyze` with its
+/// stages `dag_build`, `schedule` (holding `transitive`, `coarsen`),
+/// `reorder` and `executor_build`, plus `fold_build`, `wait_build`,
+/// `seed_probe`. Hot loop
 /// (category "exec"): per-superstep `step_wait` and `compute` spans per
 /// OpenMP thread.
 ///

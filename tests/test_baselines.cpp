@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/bsplist.hpp"
 #include "baselines/hdagg.hpp"
 #include "baselines/spmp.hpp"
 #include "baselines/wavefront.hpp"
 #include "dag/dag.hpp"
+#include "dag/transitive.hpp"
 #include "dag/wavefronts.hpp"
 #include "datagen/random_matrices.hpp"
 #include "test_util.hpp"
@@ -114,7 +117,8 @@ TEST(Spmp, TransitiveReductionReportedAndSound) {
   const Dag d = Dag::fromLowerTriangular(lower);
   const auto result = spmpSchedule(d, {.num_cores = 2});
   EXPECT_GT(result.removed_edges, 0);
-  EXPECT_EQ(result.reduced_dag.numEdges() + result.removed_edges,
+  ASSERT_TRUE(result.reduced_dag.has_value());
+  EXPECT_EQ(result.reduced_dag->numEdges() + result.removed_edges,
             d.numEdges());
   EXPECT_TRUE(validateSchedule(d, result.schedule).ok);
 }
@@ -127,7 +131,26 @@ TEST(Spmp, NoReductionOption) {
   opts.transitive_reduction = false;
   const auto result = spmpSchedule(d, opts);
   EXPECT_EQ(result.removed_edges, 0);
-  EXPECT_EQ(result.reduced_dag.numEdges(), d.numEdges());
+  EXPECT_FALSE(result.reduced_dag.has_value());
+}
+
+TEST(Spmp, ResultIndependentOfAnalysisWidth) {
+  // The reduction runs num_cores wide; what it returns is the width-1
+  // pass's, and the level schedule is the wavefront schedule either way.
+  const auto lower = datagen::erdosRenyiLower({.n = 2000, .p = 8e-3, .seed = 73});
+  const Dag d = Dag::fromLowerTriangular(lower);
+  const auto reference = dag::approximateTransitiveReduction(d);
+  for (const int width : {1, 4}) {
+    const auto result = spmpSchedule(d, {.num_cores = width});
+    ASSERT_TRUE(result.reduced_dag.has_value());
+    EXPECT_EQ(result.reduced_dag->edgeList(), reference.dag.edgeList());
+    EXPECT_EQ(result.removed_edges, reference.removed_edges);
+    const Schedule levels = wavefrontSchedule(d, {.num_cores = width});
+    EXPECT_TRUE(std::ranges::equal(result.schedule.executionOrder(),
+                                   levels.executionOrder()));
+    EXPECT_TRUE(std::ranges::equal(result.schedule.groupPtr(),
+                                   levels.groupPtr()));
+  }
 }
 
 TEST(BspList, BottomLevelsKnownValues) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "core/growlocal.hpp"
 #include "dag/dag.hpp"
@@ -186,6 +188,36 @@ TEST(FunnelGrowLocal, ValidAndCoarserThanWavefronts) {
   const Schedule s = funnelGrowLocalSchedule(d, {.num_cores = 2});
   const auto v = validateSchedule(d, s);
   EXPECT_TRUE(v.ok) << v.message;
+}
+
+void expectSameSchedule(const Schedule& a, const Schedule& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.numCores(), b.numCores()) << what;
+  EXPECT_EQ(a.numSupersteps(), b.numSupersteps()) << what;
+  EXPECT_TRUE(std::ranges::equal(a.cores(), b.cores())) << what;
+  EXPECT_TRUE(std::ranges::equal(a.supersteps(), b.supersteps())) << what;
+  EXPECT_TRUE(std::ranges::equal(a.executionOrder(), b.executionOrder()))
+      << what;
+  EXPECT_TRUE(std::ranges::equal(a.groupPtr(), b.groupPtr())) << what;
+}
+
+TEST(FunnelGrowLocal, ScheduleIndependentOfAnalysisWidth) {
+  std::vector<testutil::NamedMatrix> inputs = testutil::lowerTriangularZoo();
+  inputs.push_back({"er_2000", datagen::erdosRenyiLower(
+                                   {.n = 2000, .p = 8e-3, .seed = 23})});
+  for (const auto& [name, lower] : inputs) {
+    const Dag d = Dag::fromLowerTriangular(lower);
+    const GrowLocalOptions gl{.num_cores = 4};
+    FunnelOptions one;
+    one.num_threads = 1;
+    FunnelOptions four;
+    four.num_threads = 4;
+    const Schedule at1 = funnelGrowLocalSchedule(d, gl, one);
+    expectSameSchedule(at1, funnelGrowLocalSchedule(d, gl, four),
+                       name + " width 4");
+    // Unset, the reduction runs at the schedule's width (4 here).
+    expectSameSchedule(at1, funnelGrowLocalSchedule(d, gl), name + " unset");
+  }
 }
 
 TEST(IsCascade, DetectsNonCascade) {

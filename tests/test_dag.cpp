@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+
 #include "dag/toposort.hpp"
 #include "dag/transitive.hpp"
 #include "dag/wavefronts.hpp"
@@ -57,6 +61,79 @@ TEST(Dag, FromEdgesDeduplicates) {
   const std::vector<Edge> edges = {{0, 1}, {0, 1}, {1, 2}};
   const Dag d = Dag::fromEdges(3, edges);
   EXPECT_EQ(d.numEdges(), 2);
+}
+
+/// The edge set a sorted build gives: parent-major, deduplicated.
+std::vector<Edge> sortedUnique(std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+TEST(Dag, FromEdgesMatchesSortedReference) {
+  // Unsorted, with duplicates, edges in both ID directions.
+  const std::vector<Edge> edges = {{4, 1}, {0, 3}, {2, 1}, {0, 3}, {1, 3},
+                                   {4, 0}, {2, 1}, {0, 1}, {4, 3}, {1, 3}};
+  const std::vector<weight_t> w = {3, 1, 4, 1, 5};
+  const Dag d = Dag::fromEdges(5, edges, w);
+  d.validate();
+  EXPECT_EQ(d.edgeList(), sortedUnique(edges));
+  EXPECT_EQ(d.parents(3).size(), 3u);
+  EXPECT_EQ(std::vector<index_t>(d.parents(1).begin(), d.parents(1).end()),
+            (std::vector<index_t>{0, 2, 4}));
+  EXPECT_EQ(d.totalWeight(), 14);
+
+  // A seeded random multigraph over 200 vertices.
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<index_t> vertex(0, 199);
+  std::vector<Edge> random;
+  while (random.size() < 3000) {
+    const index_t u = vertex(rng);
+    const index_t v = vertex(rng);
+    if (u != v) random.emplace_back(u, v);
+  }
+  const Dag r = Dag::fromEdges(200, random);
+  r.validate();
+  EXPECT_EQ(r.edgeList(), sortedUnique(random));
+
+  const Dag empty = Dag::fromEdges(4, std::vector<Edge>{});
+  empty.validate();
+  EXPECT_EQ(empty.numVertices(), 4);
+  EXPECT_EQ(empty.numEdges(), 0);
+  EXPECT_EQ(empty.totalWeight(), 4);
+
+  const Dag none = Dag::fromEdges(0, std::vector<Edge>{});
+  none.validate();
+  EXPECT_EQ(none.numVertices(), 0);
+  EXPECT_EQ(none.numEdges(), 0);
+}
+
+TEST(Dag, FromParentsBuildsAndChecksInput) {
+  const Dag d = Dag::fromParents(4, {0, 0, 1, 2, 4}, {0, 1, 0, 2}, {2, 1, 1, 3});
+  d.validate();
+  EXPECT_EQ(d.edgeList(),
+            (std::vector<Edge>{{0, 1}, {0, 3}, {1, 2}, {2, 3}}));
+  EXPECT_EQ(d.totalWeight(), 7);
+  EXPECT_THROW(Dag::fromParents(2, {0, 1}, {0}), std::invalid_argument);
+  EXPECT_THROW(Dag::fromParents(2, {0, 0, 1}, {1}), std::invalid_argument);
+  EXPECT_THROW(Dag::fromParents(2, {0, 0, 1}, {2}), std::invalid_argument);
+  EXPECT_THROW(Dag::fromParents(3, {0, 0, 0, 2}, {1, 1}),
+               std::invalid_argument);
+  EXPECT_THROW(Dag::fromParents(3, {0, 0, 0, 2}, {1, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(Dag::fromParents(2, {0, 0, 1}, {0}, {1, 0}),
+               std::invalid_argument);
+}
+
+TEST(Dag, ReversedSwapsEveryEdge) {
+  const Dag d = Dag::fromLowerTriangular(figureMatrix());
+  const Dag r = d.reversed();
+  r.validate();
+  std::vector<Edge> flipped;
+  for (const auto& [u, v] : d.edgeList()) flipped.emplace_back(v, u);
+  EXPECT_EQ(r.edgeList(), sortedUnique(flipped));
+  EXPECT_EQ(r.totalWeight(), d.totalWeight());
+  EXPECT_EQ(r.weight(3), d.weight(3));
 }
 
 TEST(Dag, FromEdgesRejectsSelfLoopAndRange) {
@@ -225,6 +302,117 @@ TEST(TransitiveReduction, BudgetStopsEarlyButStaysSound) {
       EXPECT_TRUE(isReachable(result.dag, v, c));
     }
   }
+}
+
+/// The sequential pass the parallel reduction replaced, kept verbatim as
+/// the reference: vertex by vertex, one shared budget counter.
+TransitiveReductionResult sequentialReduction(const Dag& dag,
+                                              offset_t max_inspections) {
+  const index_t n = dag.numVertices();
+  std::vector<offset_t> parent_slot(static_cast<size_t>(n), 0);
+  std::vector<index_t> touched;
+  std::vector<char> edge_removed;
+  std::vector<Edge> kept;
+  offset_t inspections = 0;
+  offset_t removed = 0;
+  bool exhausted = false;
+  index_t resume_from = n;
+  for (index_t v = 0; v < n && !exhausted; ++v) {
+    const auto pars = dag.parents(v);
+    touched.clear();
+    for (size_t k = 0; k < pars.size(); ++k) {
+      parent_slot[static_cast<size_t>(pars[k])] = static_cast<offset_t>(k) + 1;
+      touched.push_back(pars[k]);
+    }
+    edge_removed.assign(pars.size(), 0);
+    for (const index_t w : pars) {
+      for (const index_t u : dag.parents(w)) {
+        if (max_inspections >= 0 && ++inspections > max_inspections) {
+          exhausted = true;
+          break;
+        }
+        const offset_t slot = parent_slot[static_cast<size_t>(u)];
+        if (slot > 0 && !edge_removed[static_cast<size_t>(slot - 1)]) {
+          edge_removed[static_cast<size_t>(slot - 1)] = 1;
+          ++removed;
+        }
+      }
+      if (exhausted) break;
+    }
+    for (size_t k = 0; k < pars.size(); ++k) {
+      if (!edge_removed[k]) kept.emplace_back(pars[k], v);
+    }
+    for (const index_t u : touched) parent_slot[static_cast<size_t>(u)] = 0;
+    if (exhausted) resume_from = v + 1;
+  }
+  if (exhausted) {
+    for (index_t v2 = resume_from; v2 < n; ++v2) {
+      for (const index_t u : dag.parents(v2)) kept.emplace_back(u, v2);
+    }
+  }
+  return {Dag::fromEdges(n, kept, dag.weights()), removed, exhausted};
+}
+
+/// Inspections an unbounded pass spends on each vertex, and their total.
+std::vector<offset_t> inspectionsPerVertex(const Dag& d) {
+  std::vector<offset_t> cost(static_cast<size_t>(d.numVertices()), 0);
+  for (index_t v = 0; v < d.numVertices(); ++v) {
+    for (const index_t w : d.parents(v)) {
+      cost[static_cast<size_t>(v)] += d.inDegree(w);
+    }
+  }
+  return cost;
+}
+
+TEST(TransitiveReduction, ParallelMatchesSequentialReference) {
+  std::vector<testutil::NamedMatrix> inputs = testutil::lowerTriangularZoo();
+  inputs.push_back({"er_2000_seeded", datagen::erdosRenyiLower(
+                                          {.n = 2000, .p = 8e-3, .seed = 18})});
+  for (const auto& [name, lower] : inputs) {
+    const Dag d = Dag::fromLowerTriangular(lower);
+    const std::vector<offset_t> cost = inspectionsPerVertex(d);
+    const offset_t total =
+        std::accumulate(cost.begin(), cost.end(), offset_t{0});
+    // A cutoff on a vertex boundary (the inspections before the middle
+    // vertex) and one inside a vertex (half way into the first costly
+    // vertex from the middle on), when the input has such vertices.
+    const auto mid = cost.begin() + static_cast<std::ptrdiff_t>(cost.size() / 2);
+    const offset_t boundary = std::accumulate(cost.begin(), mid, offset_t{0});
+    const auto costly =
+        std::find_if(mid, cost.end(), [](offset_t c) { return c >= 2; });
+    const offset_t inside =
+        costly == cost.end()
+            ? boundary
+            : std::accumulate(cost.begin(), costly, offset_t{0}) + *costly / 2;
+    for (const offset_t budget :
+         {offset_t{0}, inside, boundary, std::max<offset_t>(total - 1, 0),
+          offset_t{-1}}) {
+      const auto expected = sequentialReduction(d, budget);
+      for (int width = 1; width <= 4; ++width) {
+        TransitiveReductionOptions opts;
+        opts.max_inspections = budget;
+        opts.num_threads = width;
+        const auto got = approximateTransitiveReduction(d, opts);
+        got.dag.validate();
+        EXPECT_EQ(got.dag.edgeList(), expected.dag.edgeList())
+            << name << " budget " << budget << " width " << width;
+        EXPECT_EQ(got.removed_edges, expected.removed_edges)
+            << name << " budget " << budget << " width " << width;
+        EXPECT_EQ(got.exhausted_budget, expected.exhausted_budget)
+            << name << " budget " << budget << " width " << width;
+        EXPECT_EQ(got.dag.weights().size(), d.weights().size());
+        EXPECT_TRUE(std::equal(got.dag.weights().begin(),
+                               got.dag.weights().end(), d.weights().begin()));
+      }
+    }
+  }
+}
+
+TEST(TransitiveReduction, RejectsZeroWidth) {
+  const Dag d = Dag::fromLowerTriangular(datagen::chainLower(4));
+  TransitiveReductionOptions opts;
+  opts.num_threads = 0;
+  EXPECT_THROW(approximateTransitiveReduction(d, opts), std::invalid_argument);
 }
 
 TEST(TransitiveReduction, NoEffectOnChain) {

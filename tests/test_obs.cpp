@@ -133,6 +133,33 @@ TEST(TraceSession, NestedSpansNestInTheExportedJson) {
   EXPECT_LE(inner_ts + inner_dur, outer_ts + outer_dur + 1e-3);
 }
 
+TEST(TraceSession, AnalyzeSplitsIntoPlanStageSpans) {
+  const auto lower = datagen::erdosRenyiLower({.n = 400, .p = 2e-2, .seed = 9});
+  exec::SolverOptions opts;
+  opts.scheduler = exec::SchedulerKind::kFunnelGrowLocal;
+  opts.num_threads = 2;
+  auto session = TraceSession::start();
+  const auto solver = exec::TriangularSolver::analyze(lower, opts);
+  session->stop();
+  const std::string json = session->toJson();
+
+  double analyze_ts = 0, analyze_dur = 0;
+  extractSpan(json, "analyze", &analyze_ts, &analyze_dur);
+  for (const char* stage : {"dag_build", "schedule", "transitive", "coarsen",
+                            "reorder", "executor_build"}) {
+    double ts = 0, dur = 0;
+    extractSpan(json, stage, &ts, &dur);
+    EXPECT_GE(ts, analyze_ts) << stage;
+    EXPECT_LE(ts + dur, analyze_ts + analyze_dur + 1e-3) << stage;
+  }
+  // The funnel's reduction and quotient run inside the scheduler.
+  double schedule_ts = 0, schedule_dur = 0, coarsen_ts = 0, coarsen_dur = 0;
+  extractSpan(json, "schedule", &schedule_ts, &schedule_dur);
+  extractSpan(json, "coarsen", &coarsen_ts, &coarsen_dur);
+  EXPECT_GE(coarsen_ts, schedule_ts);
+  EXPECT_LE(coarsen_ts + coarsen_dur, schedule_ts + schedule_dur + 1e-3);
+}
+
 TEST(TraceSession, ConcurrentEmittersEachGetTheirOwnRing) {
   auto session = TraceSession::start();
   constexpr int kThreads = 4;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific convention lints that clang-tidy cannot express.
 
-Seven rules, each encoding a contract documented in docs/ (violations have
+Eight rules, each encoding a contract documented in docs/ (violations have
 bitten or would bite silently — none of them is a style preference):
 
   omp-region-discipline
@@ -15,6 +15,14 @@ bitten or would bite silently — none of them is a style preference):
       overlap cores again); one without the tracer makes that region
       invisible to compute/wait attribution. Analysis-time `parallel for`
       loops are exempt (no solve region, no per-thread state).
+
+  analysis-width
+      Every `#pragma omp parallel` (a `parallel for` included) in src/dag/,
+      src/core/ and src/baselines/ carries a `num_threads(...)` clause.
+      Analysis passes take their width from the caller (a schedule's
+      num_cores, the solver's default team); a region without the clause
+      inherits OMP_NUM_THREADS instead, which oversubscribes the host
+      whenever that variable exceeds the caller's width.
 
   one-sync-path
       src/exec/ synchronizes a superstep walk only through per-thread
@@ -204,6 +212,35 @@ def check_omp_regions(path: Path, lines: list[str]) -> list[str]:
     return errors
 
 
+ANALYSIS_DIRS = ("dag", "core", "baselines")
+
+
+def pragma_lines(lines: list[str]):
+    """(line index, pragma text) for each `#pragma omp parallel`, with
+    backslash-continued lines joined."""
+    for idx, line in enumerate(lines):
+        text = strip_comments_and_strings(line)
+        if not re.match(r"\s*#\s*pragma\s+omp\s+parallel\b", text):
+            continue
+        end = idx
+        while text.rstrip().endswith("\\") and end + 1 < len(lines):
+            end += 1
+            text = text.rstrip()[:-1] + " " + strip_comments_and_strings(
+                lines[end])
+        yield idx, text
+
+
+def check_analysis_width(path: Path, lines: list[str]) -> list[str]:
+    errors = []
+    for idx, text in pragma_lines(lines):
+        if not re.search(r"\bnum_threads\s*\(", text):
+            errors.append(
+                f"{path.relative_to(REPO)}:{idx + 1}: analysis-width: "
+                f"OpenMP region without num_threads(...); pass the caller's "
+                f"width instead of inheriting OMP_NUM_THREADS")
+    return errors
+
+
 def check_sync_path(path: Path, lines: list[str]) -> list[str]:
     errors = []
     for idx, line in enumerate(lines):
@@ -369,6 +406,8 @@ def run(paths: list[Path]) -> list[str]:
         if path.is_relative_to(SRC / "exec"):
             errors += check_omp_regions(path, lines)
             errors += check_sync_path(path, lines)
+        if any(path.is_relative_to(SRC / d) for d in ANALYSIS_DIRS):
+            errors += check_analysis_width(path, lines)
         if path.is_relative_to(SRC / "exec") or path.is_relative_to(
                 SRC / "engine"):
             errors += check_analyze_time_settings(path, lines)
@@ -488,6 +527,29 @@ class TriangularSolver {
 #pragma omp parallel for schedule(dynamic, 1)
   for (int i = 0; i < n; ++i) work(i);
 """, None),
+    ("analysis loop without a width", "src/core/fix.cpp", """
+#pragma omp parallel for schedule(dynamic, 1) if (parallel)
+  for (int b = 0; b < n; ++b) work(b);
+""", "analysis-width"),
+    ("analysis region without a width", "src/dag/fix.cpp", """
+#pragma omp parallel
+  { work(); }
+""", "analysis-width"),
+    ("analysis loop with a continued width clause passes",
+     "src/baselines/fix.cpp", """
+#pragma omp parallel for schedule(dynamic, 1) \\
+    num_threads(num_cores)
+  for (int b = 0; b < n; ++b) work(b);
+""", None),
+    ("analysis region with a width passes", "src/dag/fix.cpp", """
+#pragma omp parallel num_threads(opts.num_threads)
+  { work(); }
+""", None),
+    ("width named only in a comment does not count", "src/core/fix.cpp",
+     """
+#pragma omp parallel for  // num_threads(n) would go here
+  for (int b = 0; b < n; ++b) work(b);
+""", "analysis-width"),
     ("pure trace args pass", "src/exec/fix.cpp", """
 STS_TRACE_SPAN1("engine", "solve", "team", static_cast<std::uint64_t>(team));
 """, None),
